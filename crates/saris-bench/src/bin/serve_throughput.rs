@@ -67,9 +67,11 @@
 //!    stack behind the length-prefixed TCP protocol), measured warmed
 //!    at one shard and again at four: consistent-hash fingerprint
 //!    affinity keeps every shard's kernel and response caches hot, so
-//!    warmed requests-per-second should scale near-linearly with the
-//!    shard count. A sample of stream specs plus one golden request is
-//!    checked bit-identical against a single-process reference server.
+//!    warmed requests-per-second scale with the shard count up to the
+//!    host's cores. Scaling above `min(4, available_parallelism) × 1.1`
+//!    cannot come from work and exits 1 as a measurement artifact. A
+//!    sample of stream specs plus one golden request is checked
+//!    bit-identical against a single-process reference server.
 //!
 //! Usage: `serve_throughput [--subset] [--adaptive] [--golden-sweep]
 //! [--mixed] [--chaos] [--sharded] [--baseline PATH] [--out PATH]
@@ -1899,6 +1901,24 @@ fn main() {
     );
     std::fs::write(&out_path, json).expect("write benchmark artifact");
     println!("\nwrote {out_path}");
+
+    // Plausibility bound (checked after writing, so the artifact still
+    // uploads): N shards on fewer cores cannot scale past the core
+    // count. A ratio above it means the one-shard baseline was slowed by
+    // something other than work — a stall in the transport — and is a
+    // measurement artifact, not a speedup.
+    if let Some(r) = &sharded_result {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let bound = SHARD_FAN.min(cores) as f64 * 1.1;
+        if r.scaling() > bound {
+            eprintln!(
+                "sharded scaling {:.2}x exceeds min({SHARD_FAN} shards, {cores} cores) x 1.1 = \
+                 {bound:.2}x: the one-shard baseline is stalled, not slower",
+                r.scaling()
+            );
+            std::process::exit(1);
+        }
+    }
 
     // The CI regression gates: fail (after writing the artifact, so the
     // upload still happens) when any gated headline falls more than 20%

@@ -57,6 +57,7 @@ use snitch_sim::{CoreReport, DmaStats, RunReport};
 
 use crate::calibration::{Calibration, CalibrationStore};
 use crate::error::CodegenError;
+use crate::json::Tag;
 use crate::runtime::{execute_on, CompiledKernel, RunOptions, Variant};
 use crate::session::ClusterPool;
 
@@ -150,10 +151,8 @@ impl Hash for Fidelity {
 impl fmt::Display for Fidelity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Fidelity::Analytic => f.write_str("analytic"),
-            Fidelity::Cycles => f.write_str("cycles"),
-            Fidelity::Golden => f.write_str("golden"),
             Fidelity::Auto { accuracy_budget } => write!(f, "auto({accuracy_budget})"),
+            tier => f.write_str(tier.tag()),
         }
     }
 }

@@ -65,9 +65,10 @@ use saris_core::stencil::Stencil;
 use saris_core::{gallery, Extent};
 
 use crate::error::CodegenError;
-use crate::json;
+use crate::json::{self, Decimal, Json, JsonError, Value, Writer};
 use crate::runtime::{RunOptions, Variant};
 use crate::tuner::Tune;
+use crate::{json_object, json_tags};
 
 /// Confidence assigned to the baked-in gallery seed: measured on the
 /// deterministic cycle tier at the paper tiles, but pasted into the
@@ -95,7 +96,7 @@ const GALLERY_JSON: &str = include_str!("calibration/gallery.json");
 /// One single-cluster measurement reduced to per-interior-point rates —
 /// what the analytic tier scales by a request's interior size to
 /// synthesize an estimate.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Calibration {
     /// Measured cycles per interior point.
     pub cycles_per_point: f64,
@@ -120,7 +121,7 @@ impl Calibration {
 }
 
 /// Where a calibration entry came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum CalibrationSource {
     /// The built-in gallery seed shipped with the crate.
     Baked,
@@ -129,22 +130,15 @@ pub enum CalibrationSource {
     /// [`CalibrationStore::calibrate`]).
     Observed,
     /// Loaded from a JSON export ([`CalibrationStore::from_json`]).
+    #[default]
     Imported,
 }
 
-impl fmt::Display for CalibrationSource {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CalibrationSource::Baked => f.write_str("baked"),
-            CalibrationSource::Observed => f.write_str("observed"),
-            CalibrationSource::Imported => f.write_str("imported"),
-        }
-    }
-}
+json_tags! { CalibrationSource, "source" { Baked => "baked", Observed => "observed", Imported => "imported" } }
 
 /// One store entry: the measurement plus the metadata
 /// [`Fidelity::Auto`](crate::Fidelity::Auto) routes on.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CalibrationEntry {
     /// Structural fingerprint of the measured stencil (the key's first
     /// component).
@@ -183,6 +177,24 @@ pub struct CalibrationEntry {
     pub updated_tick: u64,
     /// Provenance of the entry.
     pub source: CalibrationSource,
+}
+
+// One export row; the store's age tick is local and never exported.
+json_object! {
+    CalibrationEntry;
+    name,
+    "stencil": stencil as Decimal,
+    variant,
+    cores,
+    extent,
+    "context": context as Decimal,
+    "cycles_per_point": calibration.cycles_per_point,
+    "fpu_ops_per_point": calibration.fpu_ops_per_point,
+    "flops_per_point": calibration.flops_per_point,
+    "imbalance": calibration.imbalance,
+    confidence,
+    observations,
+    source,
 }
 
 /// What one cycle-tier run measured, before reduction to per-point
@@ -231,9 +243,34 @@ pub fn execution_context(options: &RunOptions, tune: &Tune) -> u64 {
     h.finish()
 }
 
+impl CalibrationEntry {
+    fn key(&self) -> CalKey {
+        CalKey {
+            stencil: self.stencil,
+            variant: self.variant,
+            cores: self.cores,
+        }
+    }
+}
+
 struct Inner {
     entries: HashMap<CalKey, CalibrationEntry>,
     tick: u64,
+}
+
+impl Inner {
+    /// Stores `entry` under its key, stamped with the next age tick.
+    fn insert(&mut self, entry: CalibrationEntry) {
+        self.tick += 1;
+        let updated_tick = self.tick;
+        self.entries.insert(
+            entry.key(),
+            CalibrationEntry {
+                updated_tick,
+                ..entry
+            },
+        );
+    }
 }
 
 /// A shared, mutable, thread-safe table of single-cluster calibration
@@ -325,19 +362,7 @@ impl CalibrationStore {
     /// [`Fidelity::Auto`](crate::Fidelity::Auto) routing. Non-finite
     /// rates are ignored.
     pub fn calibrate(&self, stencil: &Stencil, variant: Variant, calibration: Calibration) {
-        if !calibration.is_finite() {
-            return;
-        }
-        let cores = calibration.imbalance.len();
-        self.upsert(
-            CalibrationStore::key(stencil, variant, cores),
-            stencil.name().to_string(),
-            calibration,
-            None,
-            None,
-            OBSERVED_CONFIDENCE,
-            CalibrationSource::Observed,
-        );
+        self.upsert(stencil, variant, calibration, None, None);
     }
 
     /// Feeds one cycle-tier measurement back into the store: the
@@ -356,7 +381,7 @@ impl CalibrationStore {
         context: u64,
         observation: &Observation,
     ) {
-        if observation.interior_points == 0 || observation.imbalance.is_empty() {
+        if observation.interior_points == 0 {
             return;
         }
         let points = observation.interior_points as f64;
@@ -366,62 +391,50 @@ impl CalibrationStore {
             flops_per_point: observation.flops as f64 / points,
             imbalance: observation.imbalance.clone(),
         };
-        if !calibration.is_finite() {
-            return;
-        }
-        let cores = observation.imbalance.len();
-        self.upsert(
-            CalibrationStore::key(stencil, variant, cores),
-            stencil.name().to_string(),
-            calibration,
-            Some(extent),
-            Some(context),
-            OBSERVED_CONFIDENCE,
-            CalibrationSource::Observed,
-        );
+        self.upsert(stencil, variant, calibration, Some(extent), Some(context));
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Records an observed, full-confidence entry (unless its rates are
+    /// non-finite or empty), extending the key's observation history.
     fn upsert(
         &self,
-        key: CalKey,
-        name: String,
+        stencil: &Stencil,
+        variant: Variant,
         calibration: Calibration,
         extent: Option<Extent>,
         context: Option<u64>,
-        confidence: f64,
-        source: CalibrationSource,
     ) {
+        if !calibration.is_finite() {
+            return;
+        }
+        let entry = CalibrationEntry {
+            stencil: stencil.fingerprint(),
+            variant,
+            cores: calibration.imbalance.len(),
+            name: stencil.name().to_string(),
+            calibration,
+            extent,
+            context,
+            confidence: OBSERVED_CONFIDENCE,
+            source: CalibrationSource::Observed,
+            ..CalibrationEntry::default()
+        };
         let mut inner = self.inner.lock().expect("calibration store lock");
-        inner.tick += 1;
-        let tick = inner.tick;
-        let observations = inner.entries.get(&key).map_or(0, |e| e.observations) + 1;
-        inner.entries.insert(
-            key,
-            CalibrationEntry {
-                stencil: key.stencil,
-                variant: key.variant,
-                cores: key.cores,
-                name,
-                calibration,
-                extent,
-                context,
-                confidence,
-                observations,
-                updated_tick: tick,
-                source,
-            },
-        );
+        let observations = inner
+            .entries
+            .get(&entry.key())
+            .map_or(0, |e| e.observations)
+            + 1;
+        inner.insert(CalibrationEntry {
+            observations,
+            ..entry
+        });
     }
 
     /// The calibrated per-point rates for a stencil, variant and cluster
     /// core count, if the store holds a matching entry.
     pub fn lookup(&self, stencil: &Stencil, variant: Variant, cores: usize) -> Option<Calibration> {
-        let inner = self.inner.lock().expect("calibration store lock");
-        inner
-            .entries
-            .get(&CalibrationStore::key(stencil, variant, cores))
-            .map(|e| e.calibration.clone())
+        self.entry(stencil, variant, cores).map(|e| e.calibration)
     }
 
     /// A snapshot of the full entry for a stencil, variant and core
@@ -442,10 +455,7 @@ impl CalibrationStore {
     /// Whether the store holds a calibration for this stencil, variant
     /// and cluster core count.
     pub fn is_calibrated(&self, stencil: &Stencil, variant: Variant, cores: usize) -> bool {
-        let inner = self.inner.lock().expect("calibration store lock");
-        inner
-            .entries
-            .contains_key(&CalibrationStore::key(stencil, variant, cores))
+        self.entry(stencil, variant, cores).is_some()
     }
 
     /// The cluster core counts the store holds calibrations for, for
@@ -561,85 +571,27 @@ impl CalibrationStore {
         let mut inner = self.inner.lock().expect("calibration store lock");
         let mut adopted = 0;
         for entry in theirs {
-            let key = CalKey {
-                stencil: entry.stencil,
-                variant: entry.variant,
-                cores: entry.cores,
-            };
-            let wins = match inner.entries.get(&key) {
-                None => true,
-                Some(ours) => {
-                    entry.confidence > ours.confidence
-                        || (entry.confidence == ours.confidence
-                            && entry.observations > ours.observations)
-                }
-            };
+            let wins = inner.entries.get(&entry.key()).is_none_or(|ours| {
+                entry.confidence > ours.confidence
+                    || (entry.confidence == ours.confidence
+                        && entry.observations > ours.observations)
+            });
             if wins {
-                inner.tick += 1;
-                let tick = inner.tick;
-                inner.entries.insert(
-                    key,
-                    CalibrationEntry {
-                        updated_tick: tick,
-                        ..entry
-                    },
-                );
+                inner.insert(entry);
                 adopted += 1;
             }
         }
         adopted
     }
 
-    /// Serializes the store to JSON. Every `f64` is written in Rust's
-    /// shortest round-trip decimal form, so
+    /// Serializes the store to JSON, one entry per line in
+    /// [`entries`](CalibrationStore::entries) order. Every `f64` is
+    /// written in Rust's shortest round-trip decimal form, so
     /// [`from_json`](CalibrationStore::from_json) reproduces it
     /// bit-for-bit. The format is the same one the baked gallery seed
     /// ships in.
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let rows = self.entries();
-        let mut out = String::from("{\n \"version\": 1,\n \"entries\": [\n");
-        for (i, e) in rows.iter().enumerate() {
-            let comma = if i + 1 == rows.len() { "" } else { "," };
-            let extent = match e.extent {
-                Some(x) => format!("[{}, {}, {}]", x.nx, x.ny, x.nz),
-                None => "null".to_string(),
-            };
-            let context = match e.context {
-                Some(c) => format!("\"{c}\""),
-                None => "null".to_string(),
-            };
-            let imbalance: Vec<String> = e
-                .calibration
-                .imbalance
-                .iter()
-                .map(|v| format!("{v:?}"))
-                .collect();
-            let _ = writeln!(
-                out,
-                "  {{\"name\": \"{}\", \"stencil\": \"{}\", \"variant\": \"{}\", \
-                 \"cores\": {}, \"extent\": {}, \"context\": {}, \
-                 \"cycles_per_point\": {:?}, \
-                 \"fpu_ops_per_point\": {:?}, \"flops_per_point\": {:?}, \
-                 \"imbalance\": [{}], \"confidence\": {:?}, \"observations\": {}, \
-                 \"source\": \"{}\"}}{comma}",
-                json::escape(&e.name),
-                e.stencil,
-                e.variant,
-                e.cores,
-                extent,
-                context,
-                e.calibration.cycles_per_point,
-                e.calibration.fpu_ops_per_point,
-                e.calibration.flops_per_point,
-                imbalance.join(", "),
-                e.confidence,
-                e.observations,
-                e.source,
-            );
-        }
-        out.push_str(" ]\n}\n");
-        out
+        json::to_string(self)
     }
 
     /// Parses a store from the JSON format [`to_json`](CalibrationStore::to_json)
@@ -647,142 +599,45 @@ impl CalibrationStore {
     /// re-keyed by that code's current structural fingerprint (robust
     /// across builds); other entries trust the serialized fingerprint,
     /// which — like [`WorkloadSpec::fingerprint`](crate::WorkloadSpec::fingerprint)
-    /// — is only stable within one build of this crate. Imported entries
-    /// are marked [`CalibrationSource::Imported`] unless they declare
-    /// another source.
+    /// — is only stable within one build of this crate. The same holds
+    /// for the optional execution-context tag. Imported entries are
+    /// marked [`CalibrationSource::Imported`] unless they declare
+    /// [`CalibrationSource::Baked`].
     ///
     /// # Errors
     ///
     /// [`CodegenError::Calibration`] when the input is not valid JSON,
     /// misses required fields, or contains non-finite rates.
     pub fn from_json(json: &str) -> Result<CalibrationStore, CodegenError> {
-        let value = json::parse(json).map_err(cal)?;
-        let top = value.as_object("calibration document").map_err(cal)?;
-        let entries = top
-            .get("entries")
-            .ok_or_else(|| cal_err("missing \"entries\""))?
-            .as_array("entries")
-            .map_err(cal)?;
+        json::from_str(json).map_err(|e| CodegenError::Calibration { reason: e.reason })
+    }
+}
+
+/// The export document: `{"version": 1, "entries": [...]}` with one
+/// [`CalibrationEntry`] per line. Reading validates and re-keys every
+/// entry (see [`CalibrationStore::from_json`]).
+impl Json for CalibrationStore {
+    fn write(&self, w: &mut Writer) {
+        let rows: Vec<String> = self
+            .entries()
+            .iter()
+            .map(|e| format!("\n  {}", json::to_string(e)))
+            .collect();
+        w.raw(&format!(
+            "{{\n \"version\": 1,\n \"entries\": [{}\n ]\n}}\n",
+            rows.join(",")
+        ));
+    }
+
+    fn read(v: &Value) -> Result<CalibrationStore, JsonError> {
+        let rows =
+            json::get(v.as_object("calibration document")?, "entries")?.as_array("entries")?;
         let store = CalibrationStore::new();
         {
             let mut inner = store.inner.lock().expect("calibration store lock");
-            for (i, row) in entries.iter().enumerate() {
-                let at = |msg: &str| format!("entry {i}: {msg}");
-                let obj = row.as_object("entry").map_err(cal)?;
-                let field = |name: &str| {
-                    obj.get(name)
-                        .ok_or_else(|| cal_err(&at(&format!("missing \"{name}\""))))
-                };
-                let name = field("name")?.as_str("name").map_err(cal)?.to_string();
-                let variant = match field("variant")?.as_str("variant").map_err(cal)? {
-                    "base" => Variant::Base,
-                    "saris" => Variant::Saris,
-                    other => {
-                        return Err(cal_err(&at(&format!("unknown variant \"{other}\""))));
-                    }
-                };
-                let cores = field("cores")?.as_u64("cores").map_err(cal)? as usize;
-                if cores == 0 {
-                    return Err(cal_err(&at("cores must be positive")));
-                }
-                let stencil = match gallery::by_name(&name) {
-                    Some(code) => code.fingerprint(),
-                    None => field("stencil")?
-                        .as_str("stencil")
-                        .map_err(cal)?
-                        .parse::<u64>()
-                        .map_err(|_| cal_err(&at("stencil fingerprint is not a u64")))?,
-                };
-                let extent = match field("extent")? {
-                    json::Value::Null => None,
-                    value => {
-                        let dims = value.as_array("extent").map_err(cal)?;
-                        if dims.len() != 3 {
-                            return Err(cal_err(&at("extent needs [nx, ny, nz]")));
-                        }
-                        let d = |j: usize| {
-                            dims[j]
-                                .as_u64("extent dim")
-                                .map(|v| v as usize)
-                                .map_err(cal)
-                        };
-                        let (nx, ny, nz) = (d(0)?, d(1)?, d(2)?);
-                        if nx == 0 || ny == 0 || nz == 0 {
-                            return Err(cal_err(&at("extent dims must be positive")));
-                        }
-                        Some(if nz == 1 {
-                            Extent::new_2d(nx, ny)
-                        } else {
-                            Extent::new_3d(nx, ny, nz)
-                        })
-                    }
-                };
-                let calibration = Calibration {
-                    cycles_per_point: field("cycles_per_point")?
-                        .as_f64("cycles_per_point")
-                        .map_err(cal)?,
-                    fpu_ops_per_point: field("fpu_ops_per_point")?
-                        .as_f64("fpu_ops_per_point")
-                        .map_err(cal)?,
-                    flops_per_point: field("flops_per_point")?
-                        .as_f64("flops_per_point")
-                        .map_err(cal)?,
-                    imbalance: field("imbalance")?
-                        .as_array("imbalance")
-                        .map_err(cal)?
-                        .iter()
-                        .map(|v| v.as_f64("imbalance value").map_err(cal))
-                        .collect::<Result<_, _>>()?,
-                };
-                if !calibration.is_finite() {
-                    return Err(cal_err(&at("non-finite or empty calibration rates")));
-                }
-                if calibration.imbalance.len() != cores {
-                    return Err(cal_err(&at("imbalance length disagrees with cores")));
-                }
-                let confidence = field("confidence")?.as_f64("confidence").map_err(cal)?;
-                if !(0.0..=1.0).contains(&confidence) {
-                    return Err(cal_err(&at("confidence must be within 0..=1")));
-                }
-                // The execution-context tag is optional and — like the
-                // stencil fingerprint — only meaningful within one build
-                // of this crate.
-                let context = match obj.get("context") {
-                    None | Some(json::Value::Null) => None,
-                    Some(value) => Some(
-                        value
-                            .as_str("context")
-                            .map_err(cal)?
-                            .parse::<u64>()
-                            .map_err(|_| cal_err(&at("context tag is not a u64")))?,
-                    ),
-                };
-                let observations = field("observations")?.as_u64("observations").map_err(cal)?;
-                let source = match field("source")?.as_str("source").map_err(cal)? {
-                    "baked" => CalibrationSource::Baked,
-                    _ => CalibrationSource::Imported,
-                };
-                inner.tick += 1;
-                let tick = inner.tick;
-                inner.entries.insert(
-                    CalKey {
-                        stencil,
-                        variant,
-                        cores,
-                    },
-                    CalibrationEntry {
-                        stencil,
-                        variant,
-                        cores,
-                        name,
-                        calibration,
-                        extent,
-                        context,
-                        confidence,
-                        observations,
-                        updated_tick: tick,
-                        source,
-                    },
+            for (i, row) in rows.iter().enumerate() {
+                inner.insert(
+                    import_entry(row).map_err(|e| json::error(&format!("entry {i}: {e}")))?,
                 );
             }
         }
@@ -790,17 +645,28 @@ impl CalibrationStore {
     }
 }
 
-/// Maps a shared-JSON failure ([`crate::json`]) into this module's
-/// error vocabulary: [`CodegenError::Calibration`].
-fn cal(e: json::JsonError) -> CodegenError {
-    CodegenError::Calibration { reason: e.reason }
-}
-
-/// A [`CodegenError::Calibration`] from a reason string.
-fn cal_err(reason: &str) -> CodegenError {
-    CodegenError::Calibration {
-        reason: reason.to_string(),
+/// Reads one export row, re-keys gallery codes by their current
+/// fingerprint, and rejects rows the analytic tier could not use.
+fn import_entry(row: &Value) -> Result<CalibrationEntry, JsonError> {
+    let mut entry = CalibrationEntry::read(row)?;
+    if let Some(code) = gallery::by_name(&entry.name) {
+        entry.stencil = code.fingerprint();
     }
+    if entry.source != CalibrationSource::Baked {
+        entry.source = CalibrationSource::Imported;
+    }
+    let problem = if entry.cores == 0 {
+        "cores must be positive"
+    } else if !entry.calibration.is_finite() {
+        "non-finite or empty calibration rates"
+    } else if entry.calibration.imbalance.len() != entry.cores {
+        "imbalance length disagrees with cores"
+    } else if !(0.0..=1.0).contains(&entry.confidence) {
+        "confidence must be within 0..=1"
+    } else {
+        return Ok(entry);
+    };
+    Err(json::error(problem))
 }
 
 #[cfg(test)]

@@ -17,24 +17,23 @@ use snitch_sim::{Cluster, ClusterConfig, DmaDescriptor, RunReport, MAIN_BASE};
 
 use crate::base::CompiledCore;
 use crate::error::CodegenError;
+use crate::json::Tag;
 use crate::map::TcdmMap;
 use crate::saris::{gen_saris_core, SarisPlans};
 
 /// Which code generator to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// Optimized RV32G baseline (no extensions).
     Base,
     /// SARIS-accelerated (SSSR + FREP).
+    #[default]
     Saris,
 }
 
 impl fmt::Display for Variant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Variant::Base => f.write_str("base"),
-            Variant::Saris => f.write_str("saris"),
-        }
+        f.write_str(self.tag())
     }
 }
 

@@ -42,7 +42,7 @@ impl Tune {
 
 /// What the tuner decided for one workload: the winning unroll factor and
 /// the per-candidate cycle counts that were measured.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TuningDecision {
     /// The winning unroll factor.
     pub unroll: usize,

@@ -5,57 +5,60 @@
 //! each hosting a full `saris-serve` stack. The coordinator serializes a
 //! [`WorkloadSpec`] here, frames it onto a TCP stream with
 //! [`write_frame`], and decodes the worker's [`Outcome`] reply with
-//! [`decode_outcome`]. Everything is hand-rolled JSON over the shared
-//! [`crate::json`] reader/writer — the workspace carries no external
-//! dependencies — and every `f64` crosses the wire bit-exactly:
+//! [`decode_outcome`].
 //!
-//! * finite values are written with Rust's shortest-roundtrip `{:?}`
-//!   formatting and re-parsed by the correctly-rounded `str::parse`,
-//! * non-finite values (NaN payloads in grids must survive) are written
-//!   as the hex bit-pattern string `"0x{:016x}"` of [`f64::to_bits`].
+//! # One definition per type
+//!
+//! Every type that crosses the wire has exactly one JSON form, defined
+//! once in this module on the shared [`crate::json`] writer and reader:
+//! each record's field list and each enum's tag table is written a
+//! single time, in a macro that generates both directions, so encoder
+//! and decoder cannot drift apart. The calibration store and the
+//! `saris-serve` network protocol reuse these impls, and every `f64`
+//! crosses bit-exactly by the one rule in [`crate::json`].
 //!
 //! # Framing
 //!
 //! A frame is a little-endian `u32` payload length followed by that many
-//! bytes of UTF-8 JSON. [`read_frame`] rejects frames longer than the
-//! caller's limit (use [`MAX_FRAME_LEN`]) with
+//! bytes of UTF-8 JSON, sent with one write. [`read_frame`] rejects
+//! frames longer than the caller's limit (use [`MAX_FRAME_LEN`]) with
 //! [`std::io::ErrorKind::InvalidData`], so a garbage length prefix
 //! cannot trigger an unbounded allocation.
 //!
 //! # Decode semantics
 //!
-//! [`decode_spec`] does not deserialize a [`WorkloadSpec`] field-by-field:
-//! it replays the serialized stencil through [`StencilBuilder`] and the
-//! serialized workload through the [`Workload`] builder, then calls
-//! [`Workload::freeze`]. A decoded spec therefore passed the exact same
-//! validation as a locally built one — a forged or corrupted frame
-//! cannot smuggle an invalid stencil or workload past the builder — and
-//! its fingerprint is recomputed, never trusted from the wire.
-//!
-//! [`decode_outcome`] rebuilds the [`Outcome`] directly. The `kernel`
-//! field (an `Arc<CompiledKernel>` shared with the executing session's
-//! cache) does not cross the wire and always decodes as `None`.
+//! Frames are untrusted: every decode failure is an error, never a
+//! panic, and every extent goes through the checked [`json::extent`].
+//! [`decode_spec`] does not deserialize a [`WorkloadSpec`]
+//! field-by-field: it replays the stencil through [`StencilBuilder`] and
+//! the workload through the [`Workload`] builder, then calls
+//! [`Workload::freeze`]. A decoded spec therefore passed the same
+//! validation as a locally built one, and its fingerprint is recomputed,
+//! never trusted from the wire. [`decode_outcome`] rebuilds the
+//! [`Outcome`] directly; its `kernel` (shared with the executing
+//! session's cache) never crosses the wire and decodes as `None`.
 
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 use saris_core::method::CoeffStrategy;
 use saris_core::stencil::{ArrayRole, BinKind, Operand, PointOp};
-use saris_core::{Extent, Grid, InterleavePlan, Offset, SarisOptions, Space, StencilBuilder};
+use saris_core::{InterleavePlan, Offset, SarisOptions, Space, Stencil, StencilBuilder};
 use saris_isa::IndexWidth;
-use snitch_sim::core::{IntStalls, IntStats};
-use snitch_sim::fpu::{FpuStalls, FpuStats};
+use snitch_sim::core::IntStats;
+use snitch_sim::fpu::FpuStats;
 use snitch_sim::ssr::StreamerStats;
 use snitch_sim::{ClusterConfig, CoreReport, DmaStats, RunReport};
 
 use crate::backends::Fidelity;
 use crate::error::CodegenError;
-use crate::json::{self, JsonError, Value};
+use crate::json::{self, field, Codec, Decimal, Json, JsonError, Map, Value, Writer};
 use crate::runtime::{BufferRotation, RunOptions, Variant};
 use crate::tuner::{Tune, TuningDecision};
 use crate::workload::{
     InputSpec, Outcome, Workload, WorkloadKind, WorkloadSpec, WorkloadTelemetry,
 };
+use crate::{json_array, json_object, json_tags};
 
 /// Upper bound on a single frame's payload, in bytes (64 MiB).
 ///
@@ -65,12 +68,15 @@ use crate::workload::{
 pub const MAX_FRAME_LEN: usize = 64 * 1024 * 1024;
 
 /// Writes one length-prefixed frame: a little-endian `u32` byte count
-/// followed by `payload`.
+/// followed by `payload`, in a single write so the prefix never sits in
+/// a socket buffer waiting for the payload's ACK.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload exceeds u32"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -98,522 +104,218 @@ fn wire(e: JsonError) -> CodegenError {
     CodegenError::Wire { reason: e.reason }
 }
 
-fn get<'a>(
-    obj: &'a std::collections::HashMap<String, Value>,
-    key: &str,
-) -> Result<&'a Value, JsonError> {
-    obj.get(key)
-        .ok_or_else(|| json::error(&format!("missing field `{key}`")))
+// ---------------------------------------------------------------------------
+// Tag tables
+// ---------------------------------------------------------------------------
+
+json_tags! { Variant, "variant" { Base => "base", Saris => "saris" } }
+json_tags! { IndexWidth, "index width" { U8 => "u8", U16 => "u16", U32 => "u32" } }
+json_tags! { CoeffStrategy, "coeff strategy" { Hybrid => "hybrid", StreamSr1 => "stream_sr1" } }
+json_tags! { BufferRotation, "rotation" { Alternating => "alternating", Leapfrog => "leapfrog" } }
+json_tags! { Space, "space" { Dim2 => "2d", Dim3 => "3d" } }
+json_tags! { ArrayRole, "array role" { Input => "input", Output => "output" } }
+json_tags! { BinKind, "op kind" { Add => "add", Sub => "sub", Mul => "mul" } }
+json_tags! {
+    Fidelity, "fidelity" { Analytic => "analytic", Cycles => "cycles", Golden => "golden" }
+    else "auto" => budget in Auto { accuracy_budget: budget }
+}
+json_tags! {
+    Tune, "tune mode" { Fixed => "fixed", Auto => "auto" }
+    else "candidates" => list in Candidates(list)
 }
 
-/// `null` and a missing key both read as `None`.
-fn opt<'a>(obj: &'a std::collections::HashMap<String, Value>, key: &str) -> Option<&'a Value> {
-    match obj.get(key) {
-        None | Some(Value::Null) => None,
-        Some(v) => Some(v),
-    }
+json_tags! {
+    /// The two shapes of a serialized [`WorkloadSpec`].
+    enum Kind, "workload kind" { Probe => "probe", Stencil => "stencil" }
 }
 
 // ---------------------------------------------------------------------------
-// f64 policy
+// Options
 // ---------------------------------------------------------------------------
 
-fn enc_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        format!("\"0x{:016x}\"", v.to_bits())
-    }
+json_object! {
+    ClusterConfig;
+    n_cores, tcdm_banks, tcdm_bytes, main_mem_bytes, main_mem_latency,
+    main_mem_bytes_per_cycle, stream_fifo_depth, launch_queue_depth, index_fifo_depth,
+    fpu_latency_add, fpu_latency_mul, fpu_latency_fma, fpu_latency_div, fpu_latency_misc,
+    fp_load_latency, offload_queue_depth, sequencer_depth, branch_taken_penalty,
+    icache_lines, icache_line_bytes, icache_miss_penalty, dma_beat_bytes, freq_hz,
+    fast_forward,
 }
 
-fn dec_f64(v: &Value, what: &str) -> Result<f64, JsonError> {
-    match v {
-        Value::Number(_) => v.as_f64(what),
-        Value::String(s) => {
-            let hex = s.strip_prefix("0x").ok_or_else(|| {
-                json::error(&format!("{what}: expected a 0x-prefixed bit string"))
-            })?;
-            let bits = u64::from_str_radix(hex, 16)
-                .map_err(|_| json::error(&format!("{what}: bad f64 bit pattern `{s}`")))?;
-            Ok(f64::from_bits(bits))
+json_object! {
+    RunOptions = RunOptions::new(Variant::Saris);
+    variant, unroll, interleave, cluster, saris, max_cycles, concurrent_dma, reassociate,
+    base_allow_spill,
+}
+
+json_object! { SarisOptions; coeff_reg_budget, index_width, coeff_strategy }
+
+/// `[px, py]`, both non-zero.
+impl Json for InterleavePlan {
+    fn write(&self, w: &mut Writer) {
+        [self.px(), self.py()].write(w);
+    }
+    fn read(v: &Value) -> Result<InterleavePlan, JsonError> {
+        match <[usize; 2]>::read(v)? {
+            [px, py] if px > 0 && py > 0 => Ok(InterleavePlan::new(px, py)),
+            _ => Err(json::error("interleave: px and py must be non-zero")),
         }
-        _ => Err(json::error(&format!("{what}: expected a number"))),
     }
-}
-
-fn dec_u64_str(v: &Value, what: &str) -> Result<u64, JsonError> {
-    v.as_str(what)?
-        .parse::<u64>()
-        .map_err(|_| json::error(&format!("{what}: expected a decimal u64 string")))
-}
-
-fn dec_usize(v: &Value, what: &str) -> Result<usize, JsonError> {
-    Ok(v.as_u64(what)? as usize)
-}
-
-// ---------------------------------------------------------------------------
-// Geometry, grids, options
-// ---------------------------------------------------------------------------
-
-fn enc_extent(e: Extent) -> String {
-    format!("[{}, {}, {}]", e.nx, e.ny, e.nz)
-}
-
-fn dec_extent(v: &Value, what: &str) -> Result<Extent, JsonError> {
-    let a = v.as_array(what)?;
-    if a.len() != 3 {
-        return Err(json::error(&format!("{what}: expected [nx, ny, nz]")));
-    }
-    let nx = dec_usize(&a[0], what)?;
-    let ny = dec_usize(&a[1], what)?;
-    let nz = dec_usize(&a[2], what)?;
-    Ok(if nz == 1 {
-        Extent::new_2d(nx, ny)
-    } else {
-        Extent::new_3d(nx, ny, nz)
-    })
-}
-
-fn enc_grid(g: &Grid) -> String {
-    let mut out = String::with_capacity(g.as_slice().len() * 20 + 64);
-    out.push_str("{\"extent\": ");
-    out.push_str(&enc_extent(g.extent()));
-    out.push_str(", \"data\": [");
-    for (i, v) in g.as_slice().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&enc_f64(*v));
-    }
-    out.push_str("]}");
-    out
-}
-
-fn dec_grid(v: &Value, what: &str) -> Result<Grid, JsonError> {
-    let o = v.as_object(what)?;
-    let extent = dec_extent(get(o, "extent")?, "grid extent")?;
-    let raw = get(o, "data")?.as_array("grid data")?;
-    if raw.len() != extent.len() {
-        return Err(json::error(&format!(
-            "{what}: {} data points for a {}-point extent",
-            raw.len(),
-            extent.len()
-        )));
-    }
-    let data = raw
-        .iter()
-        .map(|v| dec_f64(v, "grid point"))
-        .collect::<Result<Vec<f64>, JsonError>>()?;
-    Ok(Grid::from_raw(extent, data))
-}
-
-fn enc_cluster(c: &ClusterConfig) -> String {
-    format!(
-        concat!(
-            "{{\"n_cores\": {}, \"tcdm_banks\": {}, \"tcdm_bytes\": {}, ",
-            "\"main_mem_bytes\": {}, \"main_mem_latency\": {}, ",
-            "\"main_mem_bytes_per_cycle\": {}, \"stream_fifo_depth\": {}, ",
-            "\"launch_queue_depth\": {}, \"index_fifo_depth\": {}, ",
-            "\"fpu_latency_add\": {}, \"fpu_latency_mul\": {}, ",
-            "\"fpu_latency_fma\": {}, \"fpu_latency_div\": {}, ",
-            "\"fpu_latency_misc\": {}, \"fp_load_latency\": {}, ",
-            "\"offload_queue_depth\": {}, \"sequencer_depth\": {}, ",
-            "\"branch_taken_penalty\": {}, \"icache_lines\": {}, ",
-            "\"icache_line_bytes\": {}, \"icache_miss_penalty\": {}, ",
-            "\"dma_beat_bytes\": {}, \"freq_hz\": {}, \"fast_forward\": {}}}"
-        ),
-        c.n_cores,
-        c.tcdm_banks,
-        c.tcdm_bytes,
-        c.main_mem_bytes,
-        c.main_mem_latency,
-        c.main_mem_bytes_per_cycle,
-        c.stream_fifo_depth,
-        c.launch_queue_depth,
-        c.index_fifo_depth,
-        c.fpu_latency_add,
-        c.fpu_latency_mul,
-        c.fpu_latency_fma,
-        c.fpu_latency_div,
-        c.fpu_latency_misc,
-        c.fp_load_latency,
-        c.offload_queue_depth,
-        c.sequencer_depth,
-        c.branch_taken_penalty,
-        c.icache_lines,
-        c.icache_line_bytes,
-        c.icache_miss_penalty,
-        c.dma_beat_bytes,
-        enc_f64(c.freq_hz),
-        c.fast_forward,
-    )
-}
-
-fn dec_cluster(v: &Value) -> Result<ClusterConfig, JsonError> {
-    let o = v.as_object("cluster config")?;
-    let us = |k: &str| -> Result<usize, JsonError> { dec_usize(get(o, k)?, k) };
-    let u32s = |k: &str| -> Result<u32, JsonError> { Ok(get(o, k)?.as_u64(k)? as u32) };
-    Ok(ClusterConfig {
-        n_cores: us("n_cores")?,
-        tcdm_banks: us("tcdm_banks")?,
-        tcdm_bytes: us("tcdm_bytes")?,
-        main_mem_bytes: us("main_mem_bytes")?,
-        main_mem_latency: u32s("main_mem_latency")?,
-        main_mem_bytes_per_cycle: us("main_mem_bytes_per_cycle")?,
-        stream_fifo_depth: us("stream_fifo_depth")?,
-        launch_queue_depth: us("launch_queue_depth")?,
-        index_fifo_depth: us("index_fifo_depth")?,
-        fpu_latency_add: u32s("fpu_latency_add")?,
-        fpu_latency_mul: u32s("fpu_latency_mul")?,
-        fpu_latency_fma: u32s("fpu_latency_fma")?,
-        fpu_latency_div: u32s("fpu_latency_div")?,
-        fpu_latency_misc: u32s("fpu_latency_misc")?,
-        fp_load_latency: u32s("fp_load_latency")?,
-        offload_queue_depth: us("offload_queue_depth")?,
-        sequencer_depth: us("sequencer_depth")?,
-        branch_taken_penalty: u32s("branch_taken_penalty")?,
-        icache_lines: us("icache_lines")?,
-        icache_line_bytes: us("icache_line_bytes")?,
-        icache_miss_penalty: u32s("icache_miss_penalty")?,
-        dma_beat_bytes: us("dma_beat_bytes")?,
-        freq_hz: dec_f64(get(o, "freq_hz")?, "freq_hz")?,
-        fast_forward: get(o, "fast_forward")?.as_bool("fast_forward")?,
-    })
-}
-
-fn enc_options(o: &RunOptions) -> String {
-    let index_width = match o.saris.index_width {
-        IndexWidth::U8 => "u8",
-        IndexWidth::U16 => "u16",
-        IndexWidth::U32 => "u32",
-    };
-    let coeff_strategy = match o.saris.coeff_strategy {
-        CoeffStrategy::Hybrid => "hybrid",
-        CoeffStrategy::StreamSr1 => "stream_sr1",
-    };
-    format!(
-        concat!(
-            "{{\"variant\": \"{}\", \"unroll\": {}, \"interleave\": [{}, {}], ",
-            "\"cluster\": {}, \"saris\": {{\"coeff_reg_budget\": {}, ",
-            "\"index_width\": \"{}\", \"coeff_strategy\": \"{}\"}}, ",
-            "\"max_cycles\": {}, \"concurrent_dma\": {}, ",
-            "\"reassociate\": {}, \"base_allow_spill\": {}}}"
-        ),
-        o.variant,
-        o.unroll,
-        o.interleave.px(),
-        o.interleave.py(),
-        enc_cluster(&o.cluster),
-        o.saris.coeff_reg_budget,
-        index_width,
-        coeff_strategy,
-        o.max_cycles,
-        o.concurrent_dma,
-        o.reassociate,
-        o.base_allow_spill,
-    )
-}
-
-fn dec_options(v: &Value) -> Result<RunOptions, JsonError> {
-    let o = v.as_object("run options")?;
-    let variant = match get(o, "variant")?.as_str("variant")? {
-        "base" => Variant::Base,
-        "saris" => Variant::Saris,
-        other => return Err(json::error(&format!("unknown variant `{other}`"))),
-    };
-    let interleave = get(o, "interleave")?.as_array("interleave")?;
-    if interleave.len() != 2 {
-        return Err(json::error("interleave: expected [px, py]"));
-    }
-    let px = dec_usize(&interleave[0], "interleave px")?;
-    let py = dec_usize(&interleave[1], "interleave py")?;
-    if px == 0 || py == 0 {
-        return Err(json::error("interleave: px and py must be non-zero"));
-    }
-    let saris_obj = get(o, "saris")?.as_object("saris options")?;
-    let index_width = match get(saris_obj, "index_width")?.as_str("index_width")? {
-        "u8" => IndexWidth::U8,
-        "u16" => IndexWidth::U16,
-        "u32" => IndexWidth::U32,
-        other => return Err(json::error(&format!("unknown index width `{other}`"))),
-    };
-    let coeff_strategy = match get(saris_obj, "coeff_strategy")?.as_str("coeff_strategy")? {
-        "hybrid" => CoeffStrategy::Hybrid,
-        "stream_sr1" => CoeffStrategy::StreamSr1,
-        other => return Err(json::error(&format!("unknown coeff strategy `{other}`"))),
-    };
-    let mut options = RunOptions::new(variant);
-    options.unroll = dec_usize(get(o, "unroll")?, "unroll")?;
-    options.interleave = InterleavePlan::new(px, py);
-    options.cluster = dec_cluster(get(o, "cluster")?)?;
-    options.saris = SarisOptions {
-        coeff_reg_budget: dec_usize(get(saris_obj, "coeff_reg_budget")?, "coeff_reg_budget")?,
-        index_width,
-        coeff_strategy,
-    };
-    options.max_cycles = get(o, "max_cycles")?.as_u64("max_cycles")?;
-    options.concurrent_dma = get(o, "concurrent_dma")?.as_bool("concurrent_dma")?;
-    options.reassociate = dec_usize(get(o, "reassociate")?, "reassociate")?;
-    options.base_allow_spill = get(o, "base_allow_spill")?.as_bool("base_allow_spill")?;
-    Ok(options)
 }
 
 // ---------------------------------------------------------------------------
 // Stencils
 // ---------------------------------------------------------------------------
 
-fn enc_operand(op: Operand) -> String {
-    match op {
-        Operand::Tap(i) => format!("[\"tap\", {i}]"),
-        Operand::Coeff(i) => format!("[\"coeff\", {i}]"),
-        Operand::Tmp(i) => format!("[\"tmp\", {i}]"),
-    }
+json_tags! {
+    /// The kinds of [`Operand`].
+    enum OperandKind, "operand kind" { Tap => "tap", Coeff => "coeff", Tmp => "tmp" }
 }
 
-fn dec_operand(v: &Value, what: &str) -> Result<Operand, JsonError> {
-    let a = v.as_array(what)?;
-    if a.len() != 2 {
-        return Err(json::error(&format!("{what}: expected [kind, index]")));
-    }
-    let idx = dec_usize(&a[1], what)?;
-    match a[0].as_str(what)? {
-        "tap" => Ok(Operand::Tap(idx)),
-        "coeff" => Ok(Operand::Coeff(idx)),
-        "tmp" => Ok(Operand::Tmp(idx)),
-        other => Err(json::error(&format!(
-            "{what}: unknown operand kind `{other}`"
-        ))),
-    }
-}
-
-fn enc_stencil(s: &saris_core::Stencil) -> String {
-    let mut out = String::with_capacity(512);
-    out.push_str("{\"name\": \"");
-    out.push_str(&json::escape(s.name()));
-    out.push_str("\", \"space\": \"");
-    out.push_str(match s.space() {
-        Space::Dim2 => "2d",
-        Space::Dim3 => "3d",
-    });
-    out.push_str("\", \"arrays\": [");
-    for (i, a) in s.arrays().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+/// `[kind, index]`.
+impl Json for Operand {
+    fn write(&self, w: &mut Writer) {
+        match *self {
+            Operand::Tap(i) => (OperandKind::Tap, i),
+            Operand::Coeff(i) => (OperandKind::Coeff, i),
+            Operand::Tmp(i) => (OperandKind::Tmp, i),
         }
-        out.push_str("{\"name\": \"");
-        out.push_str(&json::escape(a.name()));
-        out.push_str("\", \"role\": \"");
-        out.push_str(match a.role() {
-            ArrayRole::Input => "input",
-            ArrayRole::Output => "output",
+        .write(w);
+    }
+    fn read(v: &Value) -> Result<Operand, JsonError> {
+        let (kind, i) = Json::read(v)?;
+        Ok(match kind {
+            OperandKind::Tap => Operand::Tap(i),
+            OperandKind::Coeff => Operand::Coeff(i),
+            OperandKind::Tmp => Operand::Tmp(i),
+        })
+    }
+}
+
+const FMA: &str = "fma";
+
+/// `[kind, a, b]` for binary ops, `["fma", a, b, c]` for fused
+/// multiply-adds.
+impl Json for PointOp {
+    fn write(&self, w: &mut Writer) {
+        w.array(|w| {
+            match self {
+                PointOp::Bin { kind, .. } => kind.write(w),
+                PointOp::Fma { .. } => w.str(FMA),
+            }
+            for operand in self.operands() {
+                operand.write(w);
+            }
         });
-        out.push_str("\"}");
     }
-    out.push_str("], \"coeffs\": [");
-    for (i, c) in s.coeffs().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("{\"name\": \"");
-        out.push_str(&json::escape(c.name()));
-        out.push_str("\", \"value\": ");
-        out.push_str(&enc_f64(c.value()));
-        out.push('}');
-    }
-    out.push_str("], \"taps\": [");
-    for (i, t) in s.taps().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "[{}, {}, {}, {}]",
-            t.array.index(),
-            t.offset.dx,
-            t.offset.dy,
-            t.offset.dz
-        ));
-    }
-    out.push_str("], \"ops\": [");
-    for (i, op) in s.ops().iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        match op {
-            PointOp::Bin { kind, a, b } => {
-                let name = match kind {
-                    BinKind::Add => "add",
-                    BinKind::Sub => "sub",
-                    BinKind::Mul => "mul",
-                };
-                out.push_str(&format!(
-                    "[\"{name}\", {}, {}]",
-                    enc_operand(*a),
-                    enc_operand(*b)
-                ));
-            }
-            PointOp::Fma { a, b, c } => {
-                out.push_str(&format!(
-                    "[\"fma\", {}, {}, {}]",
-                    enc_operand(*a),
-                    enc_operand(*b),
-                    enc_operand(*c)
-                ));
-            }
+    fn read(v: &Value) -> Result<PointOp, JsonError> {
+        match v.as_array("op")? {
+            [Value::String(tag), a, b, c] if tag == FMA => Ok(PointOp::Fma {
+                a: Json::read(a)?,
+                b: Json::read(b)?,
+                c: Json::read(c)?,
+            }),
+            [kind, a, b] => Ok(PointOp::Bin {
+                kind: Json::read(kind)?,
+                a: Json::read(a)?,
+                b: Json::read(b)?,
+            }),
+            _ => Err(json::error(
+                "op: expected [kind, a, b] or [\"fma\", a, b, c]",
+            )),
         }
     }
-    out.push_str("], \"result\": ");
-    out.push_str(&enc_operand(s.result()));
-    out.push('}');
-    out
 }
 
-/// Replays a serialized stencil through [`StencilBuilder`], so decode
-/// re-runs the builder's full validation (`finish`).
-fn dec_stencil(v: &Value) -> Result<saris_core::Stencil, JsonError> {
-    let o = v.as_object("stencil")?;
-    let name = get(o, "name")?.as_str("stencil name")?;
-    let space = match get(o, "space")?.as_str("stencil space")? {
-        "2d" => Space::Dim2,
-        "3d" => Space::Dim3,
-        other => return Err(json::error(&format!("unknown space `{other}`"))),
-    };
-    let mut builder = StencilBuilder::new(name, space);
-    let mut array_ids = Vec::new();
-    for a in get(o, "arrays")?.as_array("arrays")? {
-        let ao = a.as_object("array decl")?;
-        let aname = get(ao, "name")?.as_str("array name")?;
-        let id = match get(ao, "role")?.as_str("array role")? {
-            "input" => builder.input(aname),
-            "output" => builder.output(aname),
-            other => return Err(json::error(&format!("unknown array role `{other}`"))),
-        };
-        array_ids.push(id);
-    }
-    for c in get(o, "coeffs")?.as_array("coeffs")? {
-        let co = c.as_object("coeff")?;
-        let cname = get(co, "name")?.as_str("coeff name")?;
-        let value = dec_f64(get(co, "value")?, "coeff value")?;
-        builder.coeff(cname, value);
-    }
-    for t in get(o, "taps")?.as_array("taps")? {
-        let ta = t.as_array("tap")?;
-        if ta.len() != 4 {
-            return Err(json::error("tap: expected [array, dx, dy, dz]"));
-        }
-        let array = dec_usize(&ta[0], "tap array")?;
-        let id = *array_ids
-            .get(array)
-            .ok_or_else(|| json::error(&format!("tap references unknown array {array}")))?;
-        let dx = ta[1].as_i64("tap dx")? as i32;
-        let dy = ta[2].as_i64("tap dy")? as i32;
-        let dz = ta[3].as_i64("tap dz")? as i32;
-        builder.tap(id, Offset { dx, dy, dz });
-    }
-    for op in get(o, "ops")?.as_array("ops")? {
-        let oa = op.as_array("op")?;
-        let kind = oa
-            .first()
-            .ok_or_else(|| json::error("op: empty"))?
-            .as_str("op kind")?;
-        match kind {
-            "add" | "sub" | "mul" => {
-                if oa.len() != 3 {
-                    return Err(json::error("binary op: expected [kind, a, b]"));
+/// A stencil declaration `{"name": name, key: value}` (arrays, coeffs).
+fn write_decl<T: Json>(w: &mut Writer, name: &str, key: &str, value: &T) {
+    w.object(|w| {
+        w.key("name");
+        w.str(name);
+        w.field(key, value);
+    });
+}
+
+/// The declarations listed under `list`, as written by [`write_decl`].
+fn read_decls<T: Json>(o: &Map, list: &str, key: &str) -> Result<Vec<(String, T)>, JsonError> {
+    let decls = json::get(o, list)?.as_array(list)?;
+    decls
+        .iter()
+        .map(|d| {
+            let d = d.as_object(list)?;
+            Ok((field(d, "name")?, field(d, key)?))
+        })
+        .collect()
+}
+
+/// Written from the stencil's accessors, in declaration order; read by
+/// replaying the document through [`StencilBuilder`], so decode re-runs
+/// the builder's full validation (`finish`). A tap is `[array, dx, dy,
+/// dz]`.
+impl Json for Stencil {
+    fn write(&self, w: &mut Writer) {
+        w.object(|w| {
+            w.key("name");
+            w.str(self.name());
+            w.field("space", &self.space());
+            w.key("arrays");
+            w.array(|w| {
+                for a in self.arrays() {
+                    write_decl(w, a.name(), "role", &a.role());
                 }
-                let a = dec_operand(&oa[1], "op operand")?;
-                let b = dec_operand(&oa[2], "op operand")?;
-                match kind {
-                    "add" => builder.add(a, b),
-                    "sub" => builder.sub(a, b),
-                    _ => builder.mul(a, b),
-                };
-            }
-            "fma" => {
-                if oa.len() != 4 {
-                    return Err(json::error("fma op: expected [\"fma\", a, b, c]"));
+            });
+            w.key("coeffs");
+            w.array(|w| {
+                for c in self.coeffs() {
+                    write_decl(w, c.name(), "value", &c.value());
                 }
-                let a = dec_operand(&oa[1], "op operand")?;
-                let b = dec_operand(&oa[2], "op operand")?;
-                let c = dec_operand(&oa[3], "op operand")?;
-                builder.fma(a, b, c);
-            }
-            other => return Err(json::error(&format!("unknown op kind `{other}`"))),
-        }
+            });
+            w.key("taps");
+            w.array(|w| {
+                for t in self.taps() {
+                    let Offset { dx, dy, dz } = t.offset;
+                    [t.array.index() as i32, dx, dy, dz].write(w);
+                }
+            });
+            w.key("ops");
+            w.items(self.ops());
+            w.field("result", &self.result());
+        });
     }
-    builder.store(dec_operand(get(o, "result")?, "result")?);
-    builder
-        .finish()
-        .map_err(|e| json::error(&format!("stencil replay rejected: {e}")))
-}
-
-// ---------------------------------------------------------------------------
-// Fidelity / tuning
-// ---------------------------------------------------------------------------
-
-fn enc_fidelity(f: Fidelity) -> String {
-    match f {
-        Fidelity::Analytic => "\"analytic\"".to_string(),
-        Fidelity::Cycles => "\"cycles\"".to_string(),
-        Fidelity::Golden => "\"golden\"".to_string(),
-        Fidelity::Auto { accuracy_budget } => {
-            format!("{{\"auto\": {}}}", enc_f64(accuracy_budget))
-        }
-    }
-}
-
-fn dec_fidelity(v: &Value) -> Result<Fidelity, JsonError> {
-    match v {
-        Value::String(s) => match s.as_str() {
-            "analytic" => Ok(Fidelity::Analytic),
-            "cycles" => Ok(Fidelity::Cycles),
-            "golden" => Ok(Fidelity::Golden),
-            other => Err(json::error(&format!("unknown fidelity `{other}`"))),
-        },
-        Value::Object(o) => {
-            let budget = dec_f64(get(o, "auto")?, "auto accuracy budget")?;
-            Ok(Fidelity::Auto {
-                accuracy_budget: budget,
+    fn read(v: &Value) -> Result<Stencil, JsonError> {
+        let o = v.as_object("stencil")?;
+        let mut sb = StencilBuilder::new(field::<String>(o, "name")?, field(o, "space")?);
+        let arrays: Vec<_> = read_decls(o, "arrays", "role")?
+            .into_iter()
+            .map(|(name, role)| match role {
+                ArrayRole::Input => sb.input(name),
+                ArrayRole::Output => sb.output(name),
             })
+            .collect();
+        for (name, value) in read_decls::<f64>(o, "coeffs", "value")? {
+            sb.coeff(name, value);
         }
-        _ => Err(json::error(
-            "fidelity: expected a string or {\"auto\": ...}",
-        )),
-    }
-}
-
-fn enc_tune(t: &Tune) -> String {
-    match t {
-        Tune::Fixed => "\"fixed\"".to_string(),
-        Tune::Auto => "\"auto\"".to_string(),
-        Tune::Candidates(c) => {
-            let list = c
-                .iter()
-                .map(|u| u.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
-            format!("{{\"candidates\": [{list}]}}")
+        for [array, dx, dy, dz] in field::<Vec<[i32; 4]>>(o, "taps")? {
+            let id = usize::try_from(array)
+                .ok()
+                .and_then(|i| arrays.get(i))
+                .ok_or_else(|| json::error(&format!("tap references unknown array {array}")))?;
+            sb.tap(*id, Offset { dx, dy, dz });
         }
-    }
-}
-
-fn dec_tune(v: &Value) -> Result<Tune, JsonError> {
-    match v {
-        Value::String(s) => match s.as_str() {
-            "fixed" => Ok(Tune::Fixed),
-            "auto" => Ok(Tune::Auto),
-            other => Err(json::error(&format!("unknown tune mode `{other}`"))),
-        },
-        Value::Object(o) => {
-            let list = get(o, "candidates")?.as_array("tune candidates")?;
-            let c = list
-                .iter()
-                .map(|v| dec_usize(v, "tune candidate"))
-                .collect::<Result<Vec<usize>, JsonError>>()?;
-            Ok(Tune::Candidates(c))
+        for op in field::<Vec<PointOp>>(o, "ops")? {
+            match op {
+                PointOp::Bin { kind, a, b } => match kind {
+                    BinKind::Add => sb.add(a, b),
+                    BinKind::Sub => sb.sub(a, b),
+                    BinKind::Mul => sb.mul(a, b),
+                },
+                PointOp::Fma { a, b, c } => sb.fma(a, b, c),
+            };
         }
-        _ => Err(json::error(
-            "tune: expected a string or {\"candidates\": ...}",
-        )),
+        sb.store(field(o, "result")?);
+        sb.finish()
+            .map_err(|e| json::error(&format!("stencil replay rejected: {e}")))
     }
 }
 
@@ -621,61 +323,91 @@ fn dec_tune(v: &Value) -> Result<Tune, JsonError> {
 // WorkloadSpec
 // ---------------------------------------------------------------------------
 
+/// `{"seed": "<decimal>"}` or `{"grids": [...]}`.
+impl Json for InputSpec {
+    fn write(&self, w: &mut Writer) {
+        w.object(|w| match self {
+            InputSpec::Seeded(seed) => w.field_as::<Decimal, _>("seed", seed),
+            InputSpec::Grids(grids) => w.field("grids", grids),
+        });
+    }
+    fn read(v: &Value) -> Result<InputSpec, JsonError> {
+        let o = v.as_object("inputs")?;
+        Ok(match json::field_as::<Decimal, Option<u64>>(o, "seed")? {
+            Some(seed) => InputSpec::Seeded(seed),
+            None => InputSpec::Grids(field(o, "grids")?),
+        })
+    }
+}
+
+/// Written from the frozen spec; read by replaying it through the
+/// [`Workload`] builder and re-freezing (see [`decode_spec`]).
+impl Json for WorkloadSpec {
+    fn write(&self, w: &mut Writer) {
+        w.object(|w| match self.kind() {
+            WorkloadKind::DmaProbe { extent, cluster } => {
+                w.field("kind", &Kind::Probe);
+                w.field("extent", extent);
+                w.field("cluster", cluster);
+            }
+            WorkloadKind::Stencil(s) => {
+                w.field("kind", &Kind::Stencil);
+                w.field("stencil", &s.stencil);
+                w.field("extent", &s.extent);
+                w.field("inputs", &s.inputs);
+                w.field("options", &s.options);
+                w.field("tune", &s.tune);
+                w.field("time_steps", &s.time_steps);
+                w.field("rotation", &s.rotation);
+                w.field("verify", &s.verify);
+                w.field("fidelity", &s.fidelity);
+            }
+        });
+    }
+    fn read(v: &Value) -> Result<WorkloadSpec, JsonError> {
+        replay(v)?
+            .freeze()
+            .map_err(|e| json::error(&format!("workload rejected: {e}")))
+    }
+}
+
+fn replay(v: &Value) -> Result<Workload, JsonError> {
+    let o = v.as_object("workload spec")?;
+    Ok(match field(o, "kind")? {
+        Kind::Probe => {
+            let probe = Workload::dma_probe(field(o, "extent")?);
+            let mut options = RunOptions::new(Variant::Saris);
+            options.cluster = field(o, "cluster")?;
+            probe.options(options)
+        }
+        Kind::Stencil => {
+            let stencil: Arc<Stencil> = field(o, "stencil")?;
+            let mut w = Workload::new(stencil)
+                .extent(field(o, "extent")?)
+                .options(field(o, "options")?)
+                .tune(field(o, "tune")?)
+                .time_steps(field(o, "time_steps")?);
+            w = match field(o, "inputs")? {
+                InputSpec::Seeded(seed) => w.input_seed(seed),
+                InputSpec::Grids(grids) => w.shared_inputs(grids),
+            };
+            if let Some(rotation) = field(o, "rotation")? {
+                w = w.rotation(rotation);
+            }
+            if let Some(tolerance) = field(o, "verify")? {
+                w = w.verify(tolerance);
+            }
+            if let Some(fidelity) = field(o, "fidelity")? {
+                w = w.fidelity(fidelity);
+            }
+            w
+        }
+    })
+}
+
 /// Serializes a frozen [`WorkloadSpec`] to its wire JSON.
 pub fn encode_spec(spec: &WorkloadSpec) -> String {
-    match spec.kind() {
-        WorkloadKind::DmaProbe { extent, cluster } => format!(
-            "{{\"kind\": \"probe\", \"extent\": {}, \"cluster\": {}}}",
-            enc_extent(*extent),
-            enc_cluster(cluster)
-        ),
-        WorkloadKind::Stencil(w) => {
-            let mut out = String::with_capacity(2048);
-            out.push_str("{\"kind\": \"stencil\", \"stencil\": ");
-            out.push_str(&enc_stencil(&w.stencil));
-            out.push_str(", \"extent\": ");
-            out.push_str(&enc_extent(w.extent));
-            out.push_str(", \"inputs\": ");
-            match &w.inputs {
-                InputSpec::Seeded(seed) => {
-                    out.push_str(&format!("{{\"seed\": \"{seed}\"}}"));
-                }
-                InputSpec::Grids(grids) => {
-                    out.push_str("{\"grids\": [");
-                    for (i, g) in grids.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(", ");
-                        }
-                        out.push_str(&enc_grid(g));
-                    }
-                    out.push_str("]}");
-                }
-            }
-            out.push_str(", \"options\": ");
-            out.push_str(&enc_options(&w.options));
-            out.push_str(", \"tune\": ");
-            out.push_str(&enc_tune(&w.tune));
-            out.push_str(&format!(", \"time_steps\": {}", w.time_steps));
-            out.push_str(", \"rotation\": ");
-            out.push_str(match w.rotation {
-                None => "null",
-                Some(BufferRotation::Alternating) => "\"alternating\"",
-                Some(BufferRotation::Leapfrog) => "\"leapfrog\"",
-            });
-            out.push_str(", \"verify\": ");
-            match w.verify {
-                None => out.push_str("null"),
-                Some(t) => out.push_str(&enc_f64(t)),
-            }
-            out.push_str(", \"fidelity\": ");
-            match w.fidelity {
-                None => out.push_str("null"),
-                Some(f) => out.push_str(&enc_fidelity(f)),
-            }
-            out.push('}');
-            out
-        }
-    }
+    json::to_string(spec)
 }
 
 /// Decodes a wire JSON document back into a [`WorkloadSpec`].
@@ -688,55 +420,10 @@ pub fn encode_spec(spec: &WorkloadSpec) -> String {
 /// semantic rejections from [`Workload::freeze`] surface as their
 /// original error variants.
 pub fn decode_spec(text: &str) -> Result<WorkloadSpec, CodegenError> {
-    build_workload(text).map_err(wire)?.freeze()
-}
-
-fn build_workload(text: &str) -> Result<Workload, JsonError> {
-    let doc = json::parse(text)?;
-    let o = doc.as_object("workload spec")?;
-    match get(o, "kind")?.as_str("kind")? {
-        "probe" => {
-            let extent = dec_extent(get(o, "extent")?, "probe extent")?;
-            let mut options = RunOptions::new(Variant::Saris);
-            options.cluster = dec_cluster(get(o, "cluster")?)?;
-            Ok(Workload::dma_probe(extent).options(options))
-        }
-        "stencil" => {
-            let stencil = dec_stencil(get(o, "stencil")?)?;
-            let extent = dec_extent(get(o, "extent")?, "extent")?;
-            let mut w = Workload::new(stencil).extent(extent);
-            let inputs = get(o, "inputs")?.as_object("inputs")?;
-            if let Some(seed) = opt(inputs, "seed") {
-                w = w.input_seed(dec_u64_str(seed, "input seed")?);
-            } else {
-                let grids = get(inputs, "grids")?
-                    .as_array("input grids")?
-                    .iter()
-                    .map(|g| dec_grid(g, "input grid"))
-                    .collect::<Result<Vec<Grid>, JsonError>>()?;
-                w = w.shared_inputs(Arc::new(grids));
-            }
-            w = w.options(dec_options(get(o, "options")?)?);
-            w = w.tune(dec_tune(get(o, "tune")?)?);
-            w = w.time_steps(dec_usize(get(o, "time_steps")?, "time_steps")?);
-            if let Some(r) = opt(o, "rotation") {
-                let rotation = match r.as_str("rotation")? {
-                    "alternating" => BufferRotation::Alternating,
-                    "leapfrog" => BufferRotation::Leapfrog,
-                    other => return Err(json::error(&format!("unknown rotation `{other}`"))),
-                };
-                w = w.rotation(rotation);
-            }
-            if let Some(t) = opt(o, "verify") {
-                w = w.verify(dec_f64(t, "verify tolerance")?);
-            }
-            if let Some(f) = opt(o, "fidelity") {
-                w = w.fidelity(dec_fidelity(f)?);
-            }
-            Ok(w)
-        }
-        other => Err(json::error(&format!("unknown workload kind `{other}`"))),
-    }
+    json::parse(text)
+        .and_then(|v| replay(&v))
+        .map_err(wire)?
+        .freeze()
 }
 
 // ---------------------------------------------------------------------------
@@ -747,279 +434,67 @@ fn build_workload(text: &str) -> Result<Workload, JsonError> {
 /// rejects anything else (the field is `&'static str`).
 const BACKEND_NAMES: [&str; 4] = ["sim", "native", "roofline", "chaos"];
 
-fn enc_core(c: &CoreReport) -> String {
-    let s = &c.int_stats.stalls;
-    let int = format!(
-        "[{}, {}, {}, {}, {}, {}, {}, {}]",
-        c.int_stats.retired,
-        s.offload_full,
-        s.launch_full,
-        s.lsu,
-        s.icache,
-        s.branch,
-        s.drain,
-        s.multi_issue
-    );
-    let f = &c.fpu;
-    let fs = &f.stalls;
-    let fpu = format!(
-        "[{}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}, {}]",
-        f.retired,
-        f.offloaded,
-        f.arith,
-        f.flops,
-        f.loads,
-        f.stores,
-        f.stream_pops,
-        f.stream_pushes,
-        fs.dependency,
-        fs.stream_empty,
-        fs.stream_full,
-        fs.lsu_busy,
-        fs.idle
-    );
-    let streamers = c
-        .streamers
-        .iter()
-        .map(|st| {
-            format!(
-                "[{}, {}, {}, {}]",
-                st.elems, st.idx_fetches, st.jobs, st.idle_full_cycles
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        concat!(
-            "{{\"halted_at\": {}, \"tcdm_wait_cycles\": {}, ",
-            "\"int\": {}, \"fpu\": {}, \"streamers\": [{}]}}"
-        ),
-        c.halted_at, c.tcdm_wait_cycles, int, fpu, streamers
-    )
-}
+/// [`Outcome::backend`]: a string from [`BACKEND_NAMES`].
+struct BackendName;
 
-fn nums(v: &Value, what: &str, n: usize) -> Result<Vec<u64>, JsonError> {
-    let a = v.as_array(what)?;
-    if a.len() != n {
-        return Err(json::error(&format!(
-            "{what}: expected {n} counters, got {}",
-            a.len()
-        )));
+impl Codec<&'static str> for BackendName {
+    fn write(v: &&'static str, w: &mut Writer) {
+        w.str(v);
     }
-    a.iter().map(|v| v.as_u64(what)).collect()
-}
-
-fn dec_core(v: &Value) -> Result<CoreReport, JsonError> {
-    let o = v.as_object("core report")?;
-    let int = nums(get(o, "int")?, "int counters", 8)?;
-    let fpu = nums(get(o, "fpu")?, "fpu counters", 13)?;
-    let streamers_raw = get(o, "streamers")?.as_array("streamers")?;
-    if streamers_raw.len() != 3 {
-        return Err(json::error("streamers: expected 3 entries"));
+    fn read(v: &Value) -> Result<&'static str, JsonError> {
+        let name = v.as_str("backend")?;
+        BACKEND_NAMES
+            .into_iter()
+            .find(|n| *n == name)
+            .ok_or_else(|| json::error(&format!("unknown backend `{name}`")))
     }
-    let mut streamers = [StreamerStats::default(); 3];
-    for (slot, raw) in streamers.iter_mut().zip(streamers_raw) {
-        let s = nums(raw, "streamer counters", 4)?;
-        *slot = StreamerStats {
-            elems: s[0],
-            idx_fetches: s[1],
-            jobs: s[2],
-            idle_full_cycles: s[3],
-        };
-    }
-    Ok(CoreReport {
-        halted_at: get(o, "halted_at")?.as_u64("halted_at")?,
-        int_stats: IntStats {
-            retired: int[0],
-            stalls: IntStalls {
-                offload_full: int[1],
-                launch_full: int[2],
-                lsu: int[3],
-                icache: int[4],
-                branch: int[5],
-                drain: int[6],
-                multi_issue: int[7],
-            },
-        },
-        fpu: FpuStats {
-            retired: fpu[0],
-            offloaded: fpu[1],
-            arith: fpu[2],
-            flops: fpu[3],
-            loads: fpu[4],
-            stores: fpu[5],
-            stream_pops: fpu[6],
-            stream_pushes: fpu[7],
-            stalls: FpuStalls {
-                dependency: fpu[8],
-                stream_empty: fpu[9],
-                stream_full: fpu[10],
-                lsu_busy: fpu[11],
-                idle: fpu[12],
-            },
-        },
-        streamers,
-        tcdm_wait_cycles: get(o, "tcdm_wait_cycles")?.as_u64("tcdm_wait_cycles")?,
-    })
 }
 
-fn enc_report(r: &RunReport) -> String {
-    let cores = r.cores.iter().map(enc_core).collect::<Vec<_>>().join(", ");
-    format!(
-        concat!(
-            "{{\"cycles\": {}, \"cycles_fast_forwarded\": {}, ",
-            "\"tcdm_accesses\": {}, \"tcdm_conflicts\": {}, ",
-            "\"icache_hits\": {}, \"icache_misses\": {}, ",
-            "\"dma\": [{}, {}, {}, {}], \"freq_hz\": {}, \"cores\": [{}]}}"
-        ),
-        r.cycles,
-        r.cycles_fast_forwarded,
-        r.tcdm_accesses,
-        r.tcdm_conflicts,
-        r.icache_hits,
-        r.icache_misses,
-        r.dma.bytes,
-        r.dma.busy_cycles,
-        r.dma.descriptors,
-        r.dma.latency_cycles,
-        enc_f64(r.freq_hz),
-        cores
-    )
+json_object! {
+    Outcome;
+    "fingerprint": fingerprint as Decimal,
+    backend as BackendName,
+    grids, reports, tuning, verify_error, dma_utilization, telemetry,
 }
 
-fn dec_report(v: &Value) -> Result<RunReport, JsonError> {
-    let o = v.as_object("run report")?;
-    let dma = nums(get(o, "dma")?, "dma counters", 4)?;
-    let cores = get(o, "cores")?
-        .as_array("cores")?
-        .iter()
-        .map(dec_core)
-        .collect::<Result<Vec<CoreReport>, JsonError>>()?;
-    Ok(RunReport {
-        cycles: get(o, "cycles")?.as_u64("cycles")?,
-        cycles_fast_forwarded: get(o, "cycles_fast_forwarded")?.as_u64("cycles_fast_forwarded")?,
-        cores,
-        tcdm_accesses: get(o, "tcdm_accesses")?.as_u64("tcdm_accesses")?,
-        tcdm_conflicts: get(o, "tcdm_conflicts")?.as_u64("tcdm_conflicts")?,
-        icache_hits: get(o, "icache_hits")?.as_u64("icache_hits")?,
-        icache_misses: get(o, "icache_misses")?.as_u64("icache_misses")?,
-        dma: DmaStats {
-            bytes: dma[0],
-            busy_cycles: dma[1],
-            descriptors: dma[2],
-            latency_cycles: dma[3],
-        },
-        freq_hz: dec_f64(get(o, "freq_hz")?, "freq_hz")?,
-    })
+json_object! {
+    RunReport;
+    cycles, cycles_fast_forwarded, tcdm_accesses, tcdm_conflicts, icache_hits, icache_misses,
+    dma, freq_hz, cores,
 }
 
-fn enc_telemetry(t: &WorkloadTelemetry) -> String {
-    let answered_by = match t.answered_by {
-        None => "null".to_string(),
-        Some(f) => enc_fidelity(f),
-    };
-    let mix = t
-        .mix_counts
-        .iter()
-        .map(|c| c.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        concat!(
-            "{{\"runs\": {}, \"compiles\": {}, \"cache_hits\": {}, ",
-            "\"clusters_reused\": {}, \"cycles_fast_forwarded\": {}, ",
-            "\"estimated\": {}, \"answered_by\": {}, \"degraded\": {}, ",
-            "\"deadline_capped\": {}, \"mix_counts\": [{}]}}"
-        ),
-        t.runs,
-        t.compiles,
-        t.cache_hits,
-        t.clusters_reused,
-        t.cycles_fast_forwarded,
-        t.estimated,
-        answered_by,
-        t.degraded,
-        t.deadline_capped,
-        mix
-    )
+json_array! { DmaStats; bytes, busy_cycles, descriptors, latency_cycles }
+
+json_object! { CoreReport; halted_at, tcdm_wait_cycles, "int": int_stats, fpu, streamers }
+
+json_array! {
+    IntStats;
+    retired, stalls.offload_full, stalls.launch_full, stalls.lsu, stalls.icache,
+    stalls.branch, stalls.drain, stalls.multi_issue,
 }
 
-fn dec_telemetry(v: &Value) -> Result<WorkloadTelemetry, JsonError> {
-    let o = v.as_object("telemetry")?;
-    let mix = nums(get(o, "mix_counts")?, "mix_counts", 6)?;
-    let mut mix_counts = [0u64; 6];
-    mix_counts.copy_from_slice(&mix);
-    Ok(WorkloadTelemetry {
-        runs: get(o, "runs")?.as_u64("runs")?,
-        compiles: get(o, "compiles")?.as_u64("compiles")?,
-        cache_hits: get(o, "cache_hits")?.as_u64("cache_hits")?,
-        clusters_reused: get(o, "clusters_reused")?.as_u64("clusters_reused")?,
-        cycles_fast_forwarded: get(o, "cycles_fast_forwarded")?.as_u64("cycles_fast_forwarded")?,
-        estimated: get(o, "estimated")?.as_bool("estimated")?,
-        answered_by: match opt(o, "answered_by") {
-            None => None,
-            Some(f) => Some(dec_fidelity(f)?),
-        },
-        degraded: get(o, "degraded")?.as_bool("degraded")?,
-        deadline_capped: get(o, "deadline_capped")?.as_bool("deadline_capped")?,
-        mix_counts,
-    })
+json_array! {
+    FpuStats;
+    retired, offloaded, arith, flops, loads, stores, stream_pops, stream_pushes,
+    stalls.dependency, stalls.stream_empty, stalls.stream_full, stalls.lsu_busy, stalls.idle,
 }
+
+json_array! { StreamerStats; elems, idx_fetches, jobs, idle_full_cycles }
+
+json_object! {
+    WorkloadTelemetry;
+    runs, compiles, cache_hits, clusters_reused, cycles_fast_forwarded, estimated,
+    answered_by, degraded, deadline_capped, mix_counts,
+}
+
+json_object! { TuningDecision; unroll, measured }
 
 /// Serializes an [`Outcome`] to its wire JSON.
 ///
 /// The `kernel` field (shared with the executing session's cache) does
 /// not cross the wire; the decoded outcome carries `kernel: None`.
 pub fn encode_outcome(outcome: &Outcome) -> String {
-    let mut out = String::with_capacity(1024);
-    out.push_str(&format!(
-        "{{\"fingerprint\": \"{}\", \"backend\": \"{}\"",
-        outcome.fingerprint, outcome.backend
-    ));
-    out.push_str(", \"grids\": [");
-    for (i, g) in outcome.grids.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&enc_grid(g));
-    }
-    out.push_str("], \"reports\": [");
-    for (i, r) in outcome.reports.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&enc_report(r));
-    }
-    out.push_str("], \"tuning\": ");
-    match &outcome.tuning {
-        None => out.push_str("null"),
-        Some(t) => {
-            let measured = t
-                .measured
-                .iter()
-                .map(|(u, c)| format!("[{u}, {c}]"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "{{\"unroll\": {}, \"measured\": [{measured}]}}",
-                t.unroll
-            ));
-        }
-    }
-    out.push_str(", \"verify_error\": ");
-    match outcome.verify_error {
-        None => out.push_str("null"),
-        Some(e) => out.push_str(&enc_f64(e)),
-    }
-    out.push_str(", \"dma_utilization\": ");
-    match outcome.dma_utilization {
-        None => out.push_str("null"),
-        Some(u) => out.push_str(&enc_f64(u)),
-    }
-    out.push_str(", \"telemetry\": ");
-    out.push_str(&enc_telemetry(&outcome.telemetry));
-    out.push('}');
-    out
+    json::to_string(outcome)
 }
 
 /// Decodes a wire JSON document back into an [`Outcome`].
@@ -1029,83 +504,22 @@ pub fn encode_outcome(outcome: &Outcome) -> String {
 /// cross the wire). Malformed documents surface as
 /// [`CodegenError::Wire`].
 pub fn decode_outcome(text: &str) -> Result<Outcome, CodegenError> {
-    dec_outcome_inner(text).map_err(wire)
-}
-
-fn dec_outcome_inner(text: &str) -> Result<Outcome, JsonError> {
-    let doc = json::parse(text)?;
-    let o = doc.as_object("outcome")?;
-    let backend_name = get(o, "backend")?.as_str("backend")?;
-    let backend = BACKEND_NAMES
-        .iter()
-        .find(|n| **n == backend_name)
-        .copied()
-        .ok_or_else(|| json::error(&format!("unknown backend `{backend_name}`")))?;
-    let grids = get(o, "grids")?
-        .as_array("grids")?
-        .iter()
-        .map(|g| dec_grid(g, "outcome grid"))
-        .collect::<Result<Vec<Grid>, JsonError>>()?;
-    let reports = get(o, "reports")?
-        .as_array("reports")?
-        .iter()
-        .map(dec_report)
-        .collect::<Result<Vec<RunReport>, JsonError>>()?;
-    let tuning = match opt(o, "tuning") {
-        None => None,
-        Some(t) => {
-            let to = t.as_object("tuning")?;
-            let measured = get(to, "measured")?
-                .as_array("tuning measurements")?
-                .iter()
-                .map(|m| {
-                    let pair = m.as_array("tuning measurement")?;
-                    if pair.len() != 2 {
-                        return Err(json::error("tuning measurement: expected [unroll, cycles]"));
-                    }
-                    Ok((
-                        dec_usize(&pair[0], "measured unroll")?,
-                        pair[1].as_u64("measured cycles")?,
-                    ))
-                })
-                .collect::<Result<Vec<(usize, u64)>, JsonError>>()?;
-            Some(TuningDecision {
-                unroll: dec_usize(get(to, "unroll")?, "tuned unroll")?,
-                measured,
-            })
-        }
-    };
-    Ok(Outcome {
-        fingerprint: dec_u64_str(get(o, "fingerprint")?, "fingerprint")?,
-        backend,
-        grids,
-        reports,
-        kernel: None,
-        tuning,
-        verify_error: match opt(o, "verify_error") {
-            None => None,
-            Some(e) => Some(dec_f64(e, "verify_error")?),
-        },
-        dma_utilization: match opt(o, "dma_utilization") {
-            None => None,
-            Some(u) => Some(dec_f64(u, "dma_utilization")?),
-        },
-        telemetry: dec_telemetry(get(o, "telemetry")?)?,
-    })
+    json::from_str(text).map_err(wire)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use saris_core::gallery;
+    use saris_core::{gallery, Extent, Grid};
 
     fn round_trip(spec: &WorkloadSpec) -> WorkloadSpec {
         let text = encode_spec(spec);
         decode_spec(&text).expect("decode")
     }
 
-    #[test]
-    fn gallery_specs_round_trip_across_fidelities_and_tunes() {
+    /// Every gallery code × fidelity × tuning mode, at a 16-point cube.
+    fn gallery_specs() -> Vec<WorkloadSpec> {
+        let mut specs = Vec::new();
         let fidelities = [
             None,
             Some(Fidelity::Analytic),
@@ -1127,18 +541,26 @@ mod tests {
                     if let Some(f) = fidelity {
                         w = w.fidelity(f);
                     }
-                    let spec = w.freeze().expect("freeze");
-                    let decoded = round_trip(&spec);
-                    assert_eq!(decoded, spec, "{} round trip", stencil.name());
-                    assert_eq!(decoded.fingerprint(), spec.fingerprint());
+                    specs.push(w.freeze().expect("freeze"));
                 }
             }
         }
+        specs
     }
 
     #[test]
-    fn spec_extras_round_trip() {
-        // Multi-step + rotation + verification + non-default options.
+    fn gallery_specs_round_trip_across_fidelities_and_tunes() {
+        for spec in gallery_specs() {
+            let decoded = round_trip(&spec);
+            let name = spec.stencil().expect("stencil spec").name();
+            assert_eq!(decoded, spec, "{name} round trip");
+            assert_eq!(decoded.fingerprint(), spec.fingerprint());
+        }
+    }
+
+    /// Multi-step + rotation + verification + non-default options;
+    /// explicit grids with NaN payloads; a DMA probe.
+    fn extra_specs() -> Vec<WorkloadSpec> {
         let mut options = RunOptions::new(Variant::Base);
         options.unroll = 3;
         options.interleave = InterleavePlan::new(2, 4);
@@ -1150,7 +572,7 @@ mod tests {
         options.concurrent_dma = true;
         options.reassociate = 1;
         options.base_allow_spill = true;
-        let spec = Workload::new(gallery::jacobi_2d())
+        let stepped = Workload::new(gallery::jacobi_2d())
             .extent(Extent::new_2d(24, 24))
             .input_seed(11)
             .options(options)
@@ -1158,9 +580,6 @@ mod tests {
             .verify(1e-9)
             .freeze()
             .expect("freeze");
-        let decoded = round_trip(&spec);
-        assert_eq!(decoded, spec);
-        assert_eq!(decoded.fingerprint(), spec.fingerprint());
 
         // Explicit input grids carrying NaN payloads and -0.0 must cross
         // the wire bit-exactly (InputSpec equality compares to_bits).
@@ -1170,25 +589,30 @@ mod tests {
         data[1] = -0.0;
         data[2] = f64::INFINITY;
         data[3] = f64::MIN_POSITIVE / 2.0; // subnormal
-        let spec = Workload::new(gallery::j2d5pt())
+        let grids = Workload::new(gallery::j2d5pt())
             .extent(extent)
             .inputs(vec![Grid::from_raw(extent, data)])
             .freeze()
             .expect("freeze");
-        let decoded = round_trip(&spec);
-        assert_eq!(decoded, spec);
-        assert_eq!(decoded.fingerprint(), spec.fingerprint());
 
-        // DMA probes.
         let probe = Workload::dma_probe(Extent::new_3d(16, 16, 16))
             .freeze()
             .expect("freeze probe");
-        let decoded = round_trip(&probe);
-        assert_eq!(decoded, probe);
+        vec![stepped, grids, probe]
     }
 
     #[test]
-    fn outcome_round_trips_bit_identically() {
+    fn spec_extras_round_trip() {
+        for spec in extra_specs() {
+            let decoded = round_trip(&spec);
+            assert_eq!(decoded, spec);
+            assert_eq!(decoded.fingerprint(), spec.fingerprint());
+        }
+    }
+
+    /// A cycle-tier outcome with a NaN-carrying grid, a full core
+    /// report, tuning and telemetry.
+    fn sample_outcome() -> Outcome {
         let extent = Extent::new_2d(4, 4);
         let mut data = vec![1.5f64; extent.len()];
         data[0] = f64::from_bits(0x7ff8_0000_0000_0042);
@@ -1224,7 +648,7 @@ mod tests {
         core.fpu.stalls.dependency = 31;
         core.streamers[1].elems = 640;
         report.cores.push(core);
-        let outcome = Outcome {
+        Outcome {
             fingerprint: 0xdead_beef_cafe_f00d,
             backend: "sim",
             grids: vec![Grid::from_raw(extent, data)],
@@ -1248,7 +672,12 @@ mod tests {
                 deadline_capped: true,
                 mix_counts: [9, 8, 7, 6, 5, 4],
             },
-        };
+        }
+    }
+
+    #[test]
+    fn outcome_round_trips_bit_identically() {
+        let outcome = sample_outcome();
         let decoded = decode_outcome(&encode_outcome(&outcome)).expect("decode");
         assert_eq!(decoded.fingerprint, outcome.fingerprint);
         assert_eq!(decoded.backend, outcome.backend);
@@ -1301,6 +730,30 @@ mod tests {
             CodegenError::Wire { .. }
         ));
 
+        // Extents `Extent` itself would assert on: a zero dimension, and
+        // a point count that overflows `usize`.
+        let probe = encode_spec(
+            &Workload::dma_probe(Extent::new_3d(16, 16, 16))
+                .freeze()
+                .unwrap(),
+        );
+        for zero in [
+            r#"{"kind": "probe", "extent": [0, 16, 1], "cluster": {}}"#.to_string(),
+            probe.replace("[16, 16, 16]", "[0, 16, 1]"),
+        ] {
+            let err = decode_spec(&zero).unwrap_err();
+            assert!(matches!(err, CodegenError::Wire { .. }), "{zero}: {err}");
+        }
+        let huge = encode_outcome(&sample_outcome()).replace(
+            "\"extent\": [4, 4, 1]",
+            "\"extent\": [4294967296, 4294967296, 4294967296]",
+        );
+        assert!(huge.contains("4294967296"));
+        assert!(matches!(
+            decode_outcome(&huge).unwrap_err(),
+            CodegenError::Wire { .. }
+        ));
+
         // A structurally valid document whose stencil fails builder
         // validation is rejected by the replay, not accepted blindly.
         let spec = Workload::new(gallery::jacobi_2d())
@@ -1326,5 +779,98 @@ mod tests {
         let read = read_frame(&mut buf.as_slice(), MAX_FRAME_LEN).expect("read");
         let decoded = decode_spec(std::str::from_utf8(&read).expect("utf8")).expect("decode");
         assert_eq!(decoded, spec);
+    }
+
+    /// The wire text of two specs, captured before the codec moved onto
+    /// the shared writer: a refactor of the codec must not change a byte.
+    #[test]
+    fn spec_wire_text_is_pinned() {
+        let extent = Extent::new_2d(4, 4);
+        let mut data = vec![0.5f64; extent.len()];
+        data[0] = f64::from_bits(0x7ff8_0000_dead_beef);
+        data[5] = -0.0;
+        data[7] = 1.0 / 3.0;
+        let stencil = Workload::new(gallery::jacobi_2d())
+            .inputs(vec![Grid::from_raw(extent, data)])
+            .tune(Tune::Candidates(vec![1, 2]))
+            .fidelity(Fidelity::Auto {
+                accuracy_budget: 0.05,
+            })
+            .time_steps(2)
+            .rotation(BufferRotation::Alternating)
+            .verify(1e-9)
+            .freeze()
+            .expect("freeze");
+        assert_eq!(
+            encode_spec(&stencil),
+            r#"{"kind": "stencil", "stencil": {"name": "jacobi_2d", "space": "2d", "arrays": [{"name": "inp", "role": "input"}, {"name": "out", "role": "output"}], "coeffs": [{"name": "k", "value": 0.2}], "taps": [[0, 0, 0, 0], [0, -1, 0, 0], [0, 1, 0, 0], [0, 0, -1, 0], [0, 0, 1, 0]], "ops": [["add", ["tap", 1], ["tap", 2]], ["add", ["tap", 3], ["tap", 4]], ["add", ["tmp", 0], ["tmp", 1]], ["add", ["tmp", 2], ["tap", 0]], ["mul", ["coeff", 0], ["tmp", 3]]], "result": ["tmp", 4]}, "extent": [4, 4, 1], "inputs": {"grids": [{"extent": [4, 4, 1], "data": ["0x7ff80000deadbeef", 0.5, 0.5, 0.5, 0.5, -0.0, 0.5, 0.3333333333333333, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5]}]}, "options": {"variant": "saris", "unroll": 1, "interleave": [4, 2], "cluster": {"n_cores": 8, "tcdm_banks": 32, "tcdm_bytes": 131072, "main_mem_bytes": 16777216, "main_mem_latency": 40, "main_mem_bytes_per_cycle": 64, "stream_fifo_depth": 4, "launch_queue_depth": 2, "index_fifo_depth": 8, "fpu_latency_add": 3, "fpu_latency_mul": 3, "fpu_latency_fma": 4, "fpu_latency_div": 12, "fpu_latency_misc": 2, "fp_load_latency": 1, "offload_queue_depth": 4, "sequencer_depth": 128, "branch_taken_penalty": 1, "icache_lines": 128, "icache_line_bytes": 64, "icache_miss_penalty": 8, "dma_beat_bytes": 64, "freq_hz": 1000000000.0, "fast_forward": true}, "saris": {"coeff_reg_budget": 24, "index_width": "u16", "coeff_strategy": "hybrid"}, "max_cycles": 0, "concurrent_dma": false, "reassociate": 2, "base_allow_spill": false}, "tune": {"candidates": [1, 2]}, "time_steps": 2, "rotation": "alternating", "verify": 1e-9, "fidelity": {"auto": 0.05}}"#
+        );
+        let probe = Workload::dma_probe(Extent::new_3d(16, 16, 16))
+            .freeze()
+            .expect("freeze probe");
+        assert_eq!(
+            encode_spec(&probe),
+            r#"{"kind": "probe", "extent": [16, 16, 16], "cluster": {"n_cores": 8, "tcdm_banks": 32, "tcdm_bytes": 131072, "main_mem_bytes": 16777216, "main_mem_latency": 40, "main_mem_bytes_per_cycle": 64, "stream_fifo_depth": 4, "launch_queue_depth": 2, "index_fifo_depth": 8, "fpu_latency_add": 3, "fpu_latency_mul": 3, "fpu_latency_fma": 4, "fpu_latency_div": 12, "fpu_latency_misc": 2, "fp_load_latency": 1, "offload_queue_depth": 4, "sequencer_depth": 128, "branch_taken_penalty": 1, "icache_lines": 128, "icache_line_bytes": 64, "icache_miss_penalty": 8, "dma_beat_bytes": 64, "freq_hz": 1000000000.0, "fast_forward": true}}"#
+        );
+    }
+
+    /// Seeded mutations of the round-trip corpus: bit flips, truncations,
+    /// cross-document splices, and digits swapped for `0` or `2^32` (the
+    /// bounds and products of extents, indices and counts). The decoders
+    /// must never panic, and a
+    /// spec they accept must re-encode to a document that decodes to the
+    /// same spec, fingerprint included.
+    #[test]
+    fn mutated_frames_never_panic_the_decoders() {
+        const SEED: u64 = 0x5a71_0f22;
+        const ITERATIONS: u64 = 20_000;
+        let mut corpus: Vec<String> = gallery_specs()
+            .iter()
+            .chain(&extra_specs())
+            .map(encode_spec)
+            .collect();
+        corpus.push(encode_outcome(&sample_outcome()));
+        let mut counter = SEED;
+        let mut draw = |n: usize| {
+            counter += 1;
+            (crate::chaos::splitmix64(counter) % n.max(1) as u64) as usize
+        };
+        let mut accepted = 0;
+        for _ in 0..ITERATIONS {
+            let doc = corpus[draw(corpus.len())].as_bytes();
+            let mutated = match draw(4) {
+                0 => {
+                    let mut bytes = doc.to_vec();
+                    for _ in 0..=draw(3) {
+                        bytes[draw(doc.len())] ^= 1 << draw(8);
+                    }
+                    bytes
+                }
+                1 => doc[..draw(doc.len())].to_vec(),
+                2 => {
+                    let digits: Vec<usize> = (0..doc.len())
+                        .filter(|&i| doc[i].is_ascii_digit())
+                        .collect();
+                    let at = digits[draw(digits.len())];
+                    let with: &[u8] = [&b"0"[..], b"4294967296"][draw(2)];
+                    [&doc[..at], with, &doc[at + 1..]].concat()
+                }
+                _ => {
+                    let other = corpus[draw(corpus.len())].as_bytes();
+                    [&doc[..draw(doc.len())], &other[draw(other.len())..]].concat()
+                }
+            };
+            let text = String::from_utf8_lossy(&mutated);
+            let _ = decode_outcome(&text);
+            if let Ok(spec) = decode_spec(&text) {
+                accepted += 1;
+                let again = decode_spec(&encode_spec(&spec)).expect("accepted specs re-decode");
+                assert_eq!(encode_spec(&again), encode_spec(&spec));
+                assert_eq!(again.fingerprint(), spec.fingerprint());
+            }
+        }
+        // Some mutations (a flipped digit, a spliced-in sibling spec)
+        // stay valid, so the re-encode oracle is exercised.
+        assert!(accepted > 0);
     }
 }

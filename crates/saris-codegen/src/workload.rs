@@ -728,7 +728,7 @@ impl WorkloadTelemetry {
 
 /// The response half of the execution-engine API: everything one
 /// submitted [`WorkloadSpec`] produced.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Outcome {
     /// Fingerprint of the spec that produced this outcome.
     pub fingerprint: u64,

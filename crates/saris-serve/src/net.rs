@@ -10,25 +10,27 @@
 //!
 //! # Protocol
 //!
-//! Every frame is a `u32`-LE length prefix followed by a UTF-8 JSON
-//! document. Requests are `{"op": ...}` objects; large payloads (specs,
-//! outcomes, calibration exports) are embedded as *escaped JSON
-//! strings* so each layer parses exactly one document:
+//! Every frame is a `u32`-LE length prefix followed by one UTF-8 JSON
+//! document. A request is `{"op": ..., "data": ...}`; a reply is
+//! `{"ok": ...}` or `{"err": <serve error>}`. Specs, outcomes and
+//! calibration stores nest as JSON values in their
+//! [`saris_codegen::json`] forms, so each frame is escaped and parsed
+//! exactly once:
 //!
-//! | request | reply |
-//! |---|---|
-//! | `{"op": "submit", "spec": "<spec json>"}` | `{"ok": "<outcome json>"}` or `{"err": {...}}` |
-//! | `{"op": "export_calibration"}` | `{"calibration": "<store json>" \| null}` |
-//! | `{"op": "import_calibration", "data": "<store json>"}` | `{"merged": n}` |
-//! | `{"op": "ping"}` | `{"pong": true}` |
+//! | `op` | request `data` | `ok` reply |
+//! |---|---|---|
+//! | `"submit"` | spec | outcome (or an `err` serve error) |
+//! | `"export_calibration"` | `null` | calibration store, or `null` |
+//! | `"import_calibration"` | calibration store | entries merged |
+//! | `"ping"` | `null` | `true` |
 //!
-//! A reply the client cannot attribute to a request (malformed frame,
-//! unknown op) comes back as an `{"err": {"kind": "wire", ...}}`
-//! object, which decodes to a **non-transient**
-//! [`ServeError::Execution`] — the coordinator must not treat a bad
-//! request as worker death. Transport-level failures (connection reset,
-//! truncated frame) surface as [`std::io::Error`] and *are* the
-//! worker-death signal the coordinator rehashes on.
+//! A serve error is `[kind, detail]`. A request the worker
+//! cannot decode (malformed frame, unknown op, a spec the builder
+//! rejects) comes back as an `err` of kind `"wire"`, which decodes to a
+//! **non-transient** [`ServeError::Execution`] — the coordinator must
+//! not treat a bad request as worker death. Transport-level failures
+//! (connection reset, truncated frame) surface as [`std::io::Error`]
+//! and *are* the worker-death signal the coordinator rehashes on.
 //!
 //! # Delivery semantics
 //!
@@ -45,126 +47,82 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use saris_codegen::json::{self, JsonError, Value};
+use saris_codegen::json::{self, Json, JsonError, Tag, Value, Writer};
 use saris_codegen::wire::{read_frame, write_frame, MAX_FRAME_LEN};
-use saris_codegen::{
-    decode_outcome, decode_spec, encode_outcome, encode_spec, CalibrationStore, CodegenError,
-    Outcome, WorkloadSpec,
-};
+use saris_codegen::{json_tags, CalibrationStore, CodegenError, WorkloadSpec};
 
 use crate::{ServeError, ServeResult, Server, TIER_NAMES};
 
 // ---------------------------------------------------------------------------
-// ServeError wire codec
+// Protocol types
 // ---------------------------------------------------------------------------
 
-fn enc_serve_error(e: &ServeError) -> String {
-    match e {
-        ServeError::Execution(err) => {
-            // Transient errors re-wrap as `CodegenError::Transient` on
-            // decode, so carry the bare reason; everything else carries
-            // its rendered message into `CodegenError::Remote`.
-            let detail = match &**err {
-                CodegenError::Transient { reason } => reason.clone(),
-                other => other.to_string(),
-            };
-            format!(
-                "{{\"kind\": \"execution\", \"transient\": {}, \"detail\": \"{}\"}}",
-                err.is_transient(),
-                json::escape(&detail)
-            )
-        }
-        ServeError::BackendPanicked { message } => format!(
-            "{{\"kind\": \"panicked\", \"message\": \"{}\"}}",
-            json::escape(message)
-        ),
-        ServeError::DeadlineExceeded => "{\"kind\": \"deadline\"}".to_string(),
-        ServeError::CircuitOpen { tier } => {
-            format!("{{\"kind\": \"circuit\", \"tier\": \"{tier}\"}}")
-        }
-        ServeError::Quarantined => "{\"kind\": \"quarantined\"}".to_string(),
-        ServeError::Spawn { reason } => format!(
-            "{{\"kind\": \"spawn\", \"reason\": \"{}\"}}",
-            json::escape(reason)
-        ),
-        ServeError::ShutDown => "{\"kind\": \"shutdown\"}".to_string(),
+json_tags! {
+    /// What a request asks the worker to do.
+    enum Op, "op" {
+        Submit => "submit",
+        ExportCalibration => "export_calibration",
+        ImportCalibration => "import_calibration",
+        Ping => "ping",
     }
 }
 
-fn wire_reply_err(reason: &str) -> String {
-    format!(
-        "{{\"err\": {{\"kind\": \"wire\", \"reason\": \"{}\"}}}}",
-        json::escape(reason)
-    )
+json_tags! {
+    /// What kind of [`ServeError`] a reply carries.
+    enum ErrorKind, "serve error kind" {
+        Execution => "execution",
+        Transient => "transient",
+        Wire => "wire",
+        Panicked => "panicked",
+        Deadline => "deadline",
+        Circuit => "circuit",
+        Quarantined => "quarantined",
+        Spawn => "spawn",
+        ShutDown => "shutdown",
+    }
 }
 
-fn dec_serve_error(v: &Value) -> Result<ServeError, JsonError> {
-    let o = v.as_object("serve error")?;
-    let kind = o
-        .get("kind")
-        .ok_or_else(|| json::error("serve error: missing kind"))?
-        .as_str("error kind")?;
-    match kind {
-        "execution" => {
-            let detail = o
-                .get("detail")
-                .ok_or_else(|| json::error("execution error: missing detail"))?
-                .as_str("error detail")?
-                .to_string();
-            let transient = o
-                .get("transient")
-                .ok_or_else(|| json::error("execution error: missing transient flag"))?
-                .as_bool("transient flag")?;
-            // The structured `CodegenError` does not survive
-            // serialization; what matters for the coordinator's retry
-            // policy is only whether the failure was transient.
-            let err = if transient {
-                CodegenError::Transient { reason: detail }
-            } else {
-                CodegenError::Remote { detail }
-            };
-            Ok(ServeError::Execution(Arc::new(err)))
-        }
-        "wire" => {
-            let reason = o
-                .get("reason")
-                .ok_or_else(|| json::error("wire error: missing reason"))?
-                .as_str("wire reason")?
-                .to_string();
-            Ok(ServeError::Execution(Arc::new(CodegenError::Wire {
-                reason,
-            })))
-        }
-        "panicked" => Ok(ServeError::BackendPanicked {
-            message: o
-                .get("message")
-                .ok_or_else(|| json::error("panic error: missing message"))?
-                .as_str("panic message")?
-                .to_string(),
-        }),
-        "deadline" => Ok(ServeError::DeadlineExceeded),
-        "circuit" => {
-            let tier = o
-                .get("tier")
-                .ok_or_else(|| json::error("circuit error: missing tier"))?
-                .as_str("circuit tier")?;
-            let tier = TIER_NAMES
-                .iter()
-                .find(|n| **n == tier)
-                .copied()
-                .ok_or_else(|| json::error(&format!("unknown breaker tier `{tier}`")))?;
-            Ok(ServeError::CircuitOpen { tier })
-        }
-        "quarantined" => Ok(ServeError::Quarantined),
-        "spawn" => Ok(ServeError::Spawn {
-            reason: o
-                .get("reason")
-                .ok_or_else(|| json::error("spawn error: missing reason"))?
-                .as_str("spawn reason")?
-                .to_string(),
-        }),
-        "shutdown" => Ok(ServeError::ShutDown),
-        other => Err(json::error(&format!("unknown serve error kind `{other}`"))),
+/// `[kind, detail]`, the detail empty for kinds that carry none. The
+/// structured [`CodegenError`] does not survive serialization: an
+/// execution error crosses as its message, and what the coordinator's
+/// retry policy needs — whether it was transient — as its kind.
+impl Json for ServeError {
+    fn write(&self, w: &mut Writer) {
+        let (kind, detail) = match self {
+            ServeError::Execution(err) => match &**err {
+                CodegenError::Transient { reason } => (ErrorKind::Transient, reason.clone()),
+                CodegenError::Wire { reason } => (ErrorKind::Wire, reason.clone()),
+                other => (ErrorKind::Execution, other.to_string()),
+            },
+            ServeError::BackendPanicked { message } => (ErrorKind::Panicked, message.clone()),
+            ServeError::DeadlineExceeded => (ErrorKind::Deadline, String::new()),
+            ServeError::CircuitOpen { tier } => (ErrorKind::Circuit, tier.to_string()),
+            ServeError::Quarantined => (ErrorKind::Quarantined, String::new()),
+            ServeError::Spawn { reason } => (ErrorKind::Spawn, reason.clone()),
+            ServeError::ShutDown => (ErrorKind::ShutDown, String::new()),
+        };
+        (kind, detail).write(w);
+    }
+
+    fn read(v: &Value) -> Result<ServeError, JsonError> {
+        let (kind, detail): (ErrorKind, String) = Json::read(v)?;
+        let execution = |err| ServeError::Execution(Arc::new(err));
+        Ok(match kind {
+            ErrorKind::Execution => execution(CodegenError::Remote { detail }),
+            ErrorKind::Transient => execution(CodegenError::Transient { reason: detail }),
+            ErrorKind::Wire => execution(CodegenError::Wire { reason: detail }),
+            ErrorKind::Panicked => ServeError::BackendPanicked { message: detail },
+            ErrorKind::Deadline => ServeError::DeadlineExceeded,
+            ErrorKind::Circuit => ServeError::CircuitOpen {
+                tier: TIER_NAMES
+                    .into_iter()
+                    .find(|t| *t == detail)
+                    .ok_or_else(|| json::error(&format!("unknown breaker tier `{detail}`")))?,
+            },
+            ErrorKind::Quarantined => ServeError::Quarantined,
+            ErrorKind::Spawn => ServeError::Spawn { reason: detail },
+            ErrorKind::ShutDown => ServeError::ShutDown,
+        })
     }
 }
 
@@ -282,6 +240,9 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<NetShared>) {
         if shared.stop.load(Ordering::SeqCst) {
             return;
         }
+        // Replies are small request/response frames: without NODELAY,
+        // Nagle holds each one until the client's delayed ACK (~40 ms).
+        let _ = stream.set_nodelay(true);
         if let Ok(clone) = stream.try_clone() {
             shared
                 .conns
@@ -308,74 +269,40 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<NetShared>) {
             Ok(frame) => frame,
             Err(_) => return,
         };
-        let reply = respond(shared, &frame);
+        let reply = respond(shared, &frame).unwrap_or_else(|e| {
+            // A request the worker cannot decode is the requester's
+            // error, answered in-band — not a transport fault.
+            let err = ServeError::Execution(Arc::new(CodegenError::Wire { reason: e.reason }));
+            json::to_string(&Err::<(), _>(err))
+        });
         if write_frame(&mut stream, reply.as_bytes()).is_err() {
             return;
         }
     }
 }
 
-fn respond(shared: &NetShared, frame: &[u8]) -> String {
-    match try_respond(shared, frame) {
-        Ok(reply) => reply,
-        Err(e) => wire_reply_err(&e.reason),
-    }
-}
-
-fn try_respond(shared: &NetShared, frame: &[u8]) -> Result<String, JsonError> {
+fn respond(shared: &NetShared, frame: &[u8]) -> Result<String, JsonError> {
     let text = std::str::from_utf8(frame).map_err(|_| json::error("request frame is not UTF-8"))?;
     let doc = json::parse(text)?;
-    let o = doc.as_object("request")?;
-    let op = o
-        .get("op")
-        .ok_or_else(|| json::error("request: missing op"))?
-        .as_str("op")?;
-    match op {
-        "submit" => {
-            let spec_text = o
-                .get("spec")
-                .ok_or_else(|| json::error("submit: missing spec"))?
-                .as_str("spec")?;
-            let spec = match decode_spec(spec_text) {
-                Ok(spec) => spec,
-                Err(e) => {
-                    // A spec the builder rejects is the requester's
-                    // error, answered in-band — not a transport fault.
-                    let err = ServeError::Execution(Arc::new(e));
-                    return Ok(format!("{{\"err\": {}}}", enc_serve_error(&err)));
-                }
-            };
-            Ok(match shared.server.submit(&spec) {
-                Ok(outcome) => format!(
-                    "{{\"ok\": \"{}\"}}",
-                    json::escape(&encode_outcome(&outcome))
-                ),
-                Err(e) => format!("{{\"err\": {}}}", enc_serve_error(&e)),
-            })
+    let request = doc.as_object("request")?;
+    let session = shared.server.session();
+    Ok(match json::field(request, "op")? {
+        Op::Submit => {
+            let spec: WorkloadSpec = json::field(request, "data")?;
+            json::to_string(&shared.server.submit(&spec))
         }
-        "export_calibration" => Ok(match shared.server.session().calibration() {
-            Some(store) => format!(
-                "{{\"calibration\": \"{}\"}}",
-                json::escape(&store.to_json())
-            ),
-            None => "{\"calibration\": null}".to_string(),
-        }),
-        "import_calibration" => {
-            let data = o
-                .get("data")
-                .ok_or_else(|| json::error("import_calibration: missing data"))?
-                .as_str("calibration data")?;
-            let incoming = CalibrationStore::from_json(data)
-                .map_err(|e| json::error(&format!("calibration import rejected: {e}")))?;
-            let merged = match shared.server.session().calibration() {
-                Some(store) => store.merge(&incoming),
-                None => 0,
-            };
-            Ok(format!("{{\"merged\": {merged}}}"))
+        Op::ExportCalibration => ok(session.calibration().cloned()),
+        Op::ImportCalibration => {
+            let incoming: CalibrationStore = json::field(request, "data")?;
+            ok(session.calibration().map_or(0, |s| s.merge(&incoming)))
         }
-        "ping" => Ok("{\"pong\": true}".to_string()),
-        other => Err(json::error(&format!("unknown op `{other}`"))),
-    }
+        Op::Ping => ok(true),
+    })
+}
+
+/// The `ok` reply carrying `value`.
+fn ok<T: Json>(value: T) -> String {
+    json::to_string(&Ok::<T, ServeError>(value))
 }
 
 // ---------------------------------------------------------------------------
@@ -415,12 +342,25 @@ impl NetClient {
         Ok(NetClient { stream })
     }
 
-    fn round_trip(&mut self, request: &str) -> io::Result<Value> {
-        write_frame(&mut self.stream, request.as_bytes())?;
+    /// One round trip: sends `op` with its `data` and reads the reply.
+    fn call<T: Json>(&mut self, op: Op, data: &impl Json) -> io::Result<Result<T, ServeError>> {
+        let mut w = Writer::default();
+        w.object(|w| {
+            w.field("op", &op);
+            w.field("data", data);
+        });
+        write_frame(&mut self.stream, w.finish().as_bytes())?;
         let reply = read_frame(&mut self.stream, MAX_FRAME_LEN)?;
         let text = std::str::from_utf8(&reply)
             .map_err(|_| invalid("reply frame is not UTF-8".to_string()))?;
-        json::parse(text).map_err(|e| invalid(e.reason))
+        json::from_str(text).map_err(|e| invalid(format!("bad {} reply: {e}", op.tag())))
+    }
+
+    /// [`NetClient::call`] for the ops a live worker always answers: an
+    /// `err` reply to them is a protocol violation.
+    fn call_ok<T: Json>(&mut self, op: Op, data: &impl Json) -> io::Result<T> {
+        self.call(op, data)?
+            .map_err(|e| invalid(format!("worker refused {}: {e}", op.tag())))
     }
 
     /// Submits a spec for remote execution.
@@ -429,73 +369,25 @@ impl NetClient {
     /// remote [`ServeResult`]. The decoded outcome carries
     /// `kernel: None` (compiled kernels never cross the wire).
     pub fn submit(&mut self, spec: &WorkloadSpec) -> io::Result<ServeResult> {
-        let request = format!(
-            "{{\"op\": \"submit\", \"spec\": \"{}\"}}",
-            json::escape(&encode_spec(spec))
-        );
-        let doc = self.round_trip(&request)?;
-        let o = doc
-            .as_object("submit reply")
-            .map_err(|e| invalid(e.reason))?;
-        if let Some(ok) = o.get("ok") {
-            let text = ok.as_str("outcome").map_err(|e| invalid(e.reason))?;
-            let outcome: Outcome =
-                decode_outcome(text).map_err(|e| invalid(format!("bad outcome reply: {e}")))?;
-            return Ok(Ok(Arc::new(outcome)));
-        }
-        if let Some(err) = o.get("err") {
-            return Ok(Err(dec_serve_error(err).map_err(|e| invalid(e.reason))?));
-        }
-        Err(invalid(
-            "submit reply carries neither ok nor err".to_string(),
-        ))
+        self.call(Op::Submit, spec)
     }
 
-    /// Fetches the worker's calibration store as JSON (`None` when its
-    /// session runs without one).
-    pub fn export_calibration(&mut self) -> io::Result<Option<String>> {
-        let doc = self.round_trip("{\"op\": \"export_calibration\"}")?;
-        let o = doc
-            .as_object("export reply")
-            .map_err(|e| invalid(e.reason))?;
-        match o.get("calibration") {
-            None => Err(invalid("export reply missing calibration".to_string())),
-            Some(Value::Null) => Ok(None),
-            Some(v) => Ok(Some(
-                v.as_str("calibration")
-                    .map_err(|e| invalid(e.reason))?
-                    .to_string(),
-            )),
-        }
+    /// Fetches the worker's calibration store (`None` when its session
+    /// runs without one).
+    pub fn export_calibration(&mut self) -> io::Result<Option<CalibrationStore>> {
+        self.call_ok(Op::ExportCalibration, &())
     }
 
-    /// Merges a calibration export into the worker's live store
-    /// (newest-confidence-wins; see
-    /// [`CalibrationStore::merge`]). Returns how many entries the
-    /// worker adopted.
-    pub fn import_calibration(&mut self, data: &str) -> io::Result<usize> {
-        let request = format!(
-            "{{\"op\": \"import_calibration\", \"data\": \"{}\"}}",
-            json::escape(data)
-        );
-        let doc = self.round_trip(&request)?;
-        let o = doc
-            .as_object("import reply")
-            .map_err(|e| invalid(e.reason))?;
-        match o.get("merged") {
-            Some(v) => Ok(v.as_u64("merged count").map_err(|e| invalid(e.reason))? as usize),
-            None => Err(invalid("import reply missing merged count".to_string())),
-        }
+    /// Merges a calibration store into the worker's live store
+    /// (newest-confidence-wins; see [`CalibrationStore::merge`]).
+    /// Returns how many entries the worker adopted.
+    pub fn import_calibration(&mut self, store: &CalibrationStore) -> io::Result<usize> {
+        self.call_ok(Op::ImportCalibration, store)
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> io::Result<bool> {
-        let doc = self.round_trip("{\"op\": \"ping\"}")?;
-        let o = doc.as_object("ping reply").map_err(|e| invalid(e.reason))?;
-        match o.get("pong") {
-            Some(v) => v.as_bool("pong").map_err(|e| invalid(e.reason)),
-            None => Err(invalid("ping reply missing pong".to_string())),
-        }
+        self.call_ok(Op::Ping, &())
     }
 }
 
@@ -550,7 +442,7 @@ mod tests {
         write_frame(&mut client.stream, b"not json").expect("write");
         let reply = read_frame(&mut client.stream, MAX_FRAME_LEN).expect("read");
         let doc = json::parse(std::str::from_utf8(&reply).expect("utf8")).expect("parse");
-        let err = dec_serve_error(doc.as_object("reply").unwrap().get("err").expect("err"))
+        let err = ServeError::read(doc.as_object("reply").unwrap().get("err").expect("err"))
             .expect("decode");
         match &err {
             ServeError::Execution(e) => assert!(!e.is_transient()),
@@ -559,6 +451,25 @@ mod tests {
 
         // The connection still works afterwards.
         assert!(client.ping().expect("ping"));
+    }
+
+    /// Each reply must leave the worker at once: a frame held back by
+    /// Nagle's algorithm waits ~40 ms for the client's delayed ACK, which
+    /// 20 sequential round trips would turn into most of a second.
+    #[test]
+    fn ping_round_trips_do_not_wait_for_delayed_acks() {
+        let net = worker();
+        let mut client = NetClient::connect(net.addr()).expect("connect");
+        assert!(client.ping().expect("warm-up ping"));
+        let start = std::time::Instant::now();
+        for _ in 0..20 {
+            assert!(client.ping().expect("ping"));
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(200),
+            "20 loopback pings took {elapsed:?}"
+        );
     }
 
     #[test]
@@ -599,8 +510,8 @@ mod tests {
             ServeError::Execution(Arc::new(CodegenError::NoCandidates)),
         ];
         for case in &cases {
-            let doc = json::parse(&enc_serve_error(case)).expect("parse");
-            let decoded = dec_serve_error(&doc).expect("decode");
+            let doc = json::parse(&json::to_string(case)).expect("parse");
+            let decoded = ServeError::read(&doc).expect("decode");
             match (case, &decoded) {
                 (ServeError::Execution(a), ServeError::Execution(b)) => {
                     assert_eq!(a.is_transient(), b.is_transient());

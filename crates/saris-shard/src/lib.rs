@@ -392,30 +392,21 @@ impl Coordinator {
     /// skipped; gossip never blocks serving correctness, it only warms
     /// analytic answers.
     pub fn gossip_round(&self) -> usize {
-        let mut exports: Vec<String> = Vec::new();
+        let mut exports: Vec<CalibrationStore> = Vec::new();
         self.for_each_live(
             |client| client.export_calibration(),
             |_, export| exports.extend(export),
         );
-        let mut merged: Option<CalibrationStore> = None;
-        for export in &exports {
-            let Ok(store) = CalibrationStore::from_json(export) else {
-                continue;
-            };
-            match &merged {
-                None => merged = Some(store),
-                Some(union) => {
-                    union.merge(&store);
-                }
-            }
-        }
-        let Some(union) = merged else {
+        let mut exports = exports.into_iter();
+        let Some(union) = exports.next() else {
             return 0;
         };
-        let payload = union.to_json();
+        for store in exports {
+            union.merge(&store);
+        }
         let mut adopted = 0usize;
         self.for_each_live(
-            |client| client.import_calibration(&payload),
+            |client| client.import_calibration(&union),
             |_, n| adopted += n,
         );
         self.gossip_adopted

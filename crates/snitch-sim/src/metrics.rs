@@ -14,7 +14,7 @@ use crate::fpu::FpuStats;
 use crate::ssr::StreamerStats;
 
 /// Per-core measurement summary.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CoreReport {
     /// Cycle at which this core halted (kernel runtime for this core).
     pub halted_at: u64,
@@ -60,7 +60,7 @@ impl CoreReport {
 }
 
 /// Whole-cluster measurement summary for one run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunReport {
     /// Total cycles until every core halted and all units drained.
     pub cycles: u64,
